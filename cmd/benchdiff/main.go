@@ -6,14 +6,16 @@
 // gate: they measure the machine, not the engine.
 //
 // Heap allocations sit between those poles. They are deterministic for a
-// fixed toolchain (the workloads are seeded and replayed), so when both
-// records were produced with the columnar data plane enabled, the allocs
-// column is enforced: a scenario whose allocation count grows past
-// -allocs-tolerance (default 10%, absorbing Go-version churn) is drift.
-// This is the bench-side twin of flintlint's hotalloc check — the static
-// check catches boxing at the source, the gate catches whatever slips
-// through at run time. Generic-path (columnar-off) records, and records
-// from before alloc accounting landed, stay informational.
+// fixed toolchain (the workloads are seeded and replayed), so whenever
+// both records carry counts the allocs column is enforced: a scenario
+// whose allocation count grows past -allocs-tolerance (default 10%,
+// absorbing Go-version churn) is drift. This is the bench-side twin of
+// flintlint's hotalloc check — the static check catches boxing at the
+// source, the gate catches whatever slips through at run time. Records
+// from before alloc accounting landed stay informational.
+//
+// Fresh scenarios the anchor lacks cannot be gated; they are listed as
+// UNANCHORED rows so the report shows what the anchor does not cover.
 //
 // Usage:
 //
@@ -45,7 +47,6 @@ type benchRecord struct {
 	Rev       string       `json:"rev"`
 	Workers   int          `json:"workers"`
 	Scale     float64      `json:"scale"`
-	Columnar  bool         `json:"columnar"`
 	Scenarios []benchEntry `json:"scenarios"`
 }
 
@@ -64,9 +65,10 @@ func readRecord(path string) (benchRecord, error) {
 // diffRecords compares every anchored scenario against the fresh record,
 // returning the drift findings and a markdown report with the
 // virtual-makespan and wall-seconds ratio table. allocsTolerance is the
-// fractional allocation growth permitted before a columnar scenario's
-// allocs count gates (0.10 = +10%); it only applies when both records
-// carry alloc counts and both ran with the columnar data plane.
+// fractional allocation growth permitted before a scenario's allocs
+// count gates (0.10 = +10%); it applies when both records carry alloc
+// counts. Fresh scenarios the anchor lacks are reported as UNANCHORED
+// rows, never as drift.
 func diffRecords(anchor, fresh benchRecord, allocsTolerance float64) (drift []string, report string) {
 	freshBy := make(map[string]benchEntry, len(fresh.Scenarios))
 	for _, sc := range fresh.Scenarios {
@@ -104,19 +106,16 @@ func diffRecords(anchor, fresh benchRecord, allocsTolerance float64) (drift []st
 		if a.WallS > 0 && f.WallS > 0 {
 			ratio = fmt.Sprintf("%.2fx", a.WallS/f.WallS)
 		}
-		// Allocs gate for columnar runs (within tolerance); otherwise the
-		// ratio is informational. "n/a" covers anchors recorded before
+		// Allocs gate within tolerance. "n/a" covers records from before
 		// alloc accounting landed.
 		allocs := "n/a"
 		if a.Allocs > 0 && f.Allocs > 0 {
 			allocs = fmt.Sprintf("%.2fx", float64(a.Allocs)/float64(f.Allocs))
-			if anchor.Columnar && fresh.Columnar {
-				limit := uint64(float64(a.Allocs) * (1 + allocsTolerance))
-				if f.Allocs > limit {
-					drift = append(drift, fmt.Sprintf("%s: allocations regressed: anchor %d, fresh %d (limit %d at %+.0f%% tolerance)",
-						a.Name, a.Allocs, f.Allocs, limit, allocsTolerance*100))
-					allocs = fmt.Sprintf("DRIFT (%d → %d)", a.Allocs, f.Allocs)
-				}
+			limit := uint64(float64(a.Allocs) * (1 + allocsTolerance))
+			if f.Allocs > limit {
+				drift = append(drift, fmt.Sprintf("%s: allocations regressed: anchor %d, fresh %d (limit %d at %+.0f%% tolerance)",
+					a.Name, a.Allocs, f.Allocs, limit, allocsTolerance*100))
+				allocs = fmt.Sprintf("DRIFT (%d → %d)", a.Allocs, f.Allocs)
 			}
 		}
 		fmt.Fprintf(&b, "| %s | %s | %s | %s | %.3f | %.3f | %s | %s |\n",
@@ -125,8 +124,18 @@ func diffRecords(anchor, fresh benchRecord, allocsTolerance float64) (drift []st
 			status(a.TraceFNV, f.TraceFNV, "trace FNV"),
 			a.WallS, f.WallS, ratio, allocs)
 	}
+	anchored := make(map[string]bool, len(anchor.Scenarios))
+	for _, a := range anchor.Scenarios {
+		anchored[a.Name] = true
+	}
+	for _, f := range fresh.Scenarios {
+		if !anchored[f.Name] {
+			fmt.Fprintf(&b, "| %s | UNANCHORED %v | %s | %s | — | %.3f | — | — |\n",
+				f.Name, f.VirtualS, orDash(f.OutcomeFNV), orDash(f.TraceFNV), f.WallS)
+		}
+	}
 	if len(drift) == 0 {
-		b.WriteString("\nNo drift: every anchored scenario is byte-identical (wall ratio >1 means faster than the anchor machine run; allocs ratio >1 means fewer heap allocations; allocation growth gates for columnar records).\n")
+		b.WriteString("\nNo drift: every anchored scenario is byte-identical (wall ratio >1 means faster than the anchor machine run; allocs ratio >1 means fewer heap allocations; allocation growth gates when both records carry counts; UNANCHORED scenarios are not gated).\n")
 	} else {
 		fmt.Fprintf(&b, "\n**%d drift finding(s)** — the data plane changed observable output.\n", len(drift))
 	}
@@ -144,7 +153,7 @@ func main() {
 	anchorPath := flag.String("anchor", "", "committed anchor record (e.g. BENCH_a7c1211.json)")
 	freshPath := flag.String("new", "", "freshly produced record to gate")
 	summary := flag.String("summary", "", "also append the markdown report to this file (e.g. $GITHUB_STEP_SUMMARY)")
-	allocsTolerance := flag.Float64("allocs-tolerance", 0.10, "fractional allocation growth allowed before a columnar scenario's allocs count gates (0.10 = +10%)")
+	allocsTolerance := flag.Float64("allocs-tolerance", 0.10, "fractional allocation growth allowed before a scenario's allocs count gates (0.10 = +10%)")
 	flag.Parse()
 	if *anchorPath == "" || *freshPath == "" {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff -anchor BENCH_a7c1211.json -new BENCH_<rev>.json [-summary out.md]")

@@ -68,20 +68,18 @@ func TestDiffRecordsMissingScenario(t *testing.T) {
 	}
 }
 
-// columnarRecs returns an anchor/fresh pair that both carry alloc counts
-// and both ran with the columnar data plane, so the allocs gate applies.
-func columnarRecs(anchorAllocs, freshAllocs uint64) (benchRecord, benchRecord) {
+// allocRecs returns an anchor/fresh pair whose first scenario carries
+// the given alloc counts, so the allocs gate applies when both are set.
+func allocRecs(anchorAllocs, freshAllocs uint64) (benchRecord, benchRecord) {
 	anchor := anchorRec()
-	anchor.Columnar = true
 	anchor.Scenarios[0].Allocs = anchorAllocs
 	fresh := anchorRec()
-	fresh.Columnar = true
 	fresh.Scenarios[0].Allocs = freshAllocs
 	return anchor, fresh
 }
 
 func TestDiffRecordsAllocsWithinTolerance(t *testing.T) {
-	anchor, fresh := columnarRecs(1000, 1100) // exactly at the +10% limit
+	anchor, fresh := allocRecs(1000, 1100) // exactly at the +10% limit
 	drift, report := diffRecords(anchor, fresh, 0.10)
 	if len(drift) != 0 {
 		t.Fatalf("allocs at the tolerance limit must not gate: %v", drift)
@@ -92,7 +90,7 @@ func TestDiffRecordsAllocsWithinTolerance(t *testing.T) {
 }
 
 func TestDiffRecordsAllocsRegression(t *testing.T) {
-	anchor, fresh := columnarRecs(1000, 1101) // one past the +10% limit
+	anchor, fresh := allocRecs(1000, 1101) // one past the +10% limit
 	drift, report := diffRecords(anchor, fresh, 0.10)
 	if len(drift) != 1 || !strings.Contains(drift[0], "allocations regressed") {
 		t.Fatalf("drift = %v", drift)
@@ -103,7 +101,7 @@ func TestDiffRecordsAllocsRegression(t *testing.T) {
 }
 
 func TestDiffRecordsAllocsZeroTolerance(t *testing.T) {
-	anchor, fresh := columnarRecs(1000, 1001)
+	anchor, fresh := allocRecs(1000, 1001)
 	drift, _ := diffRecords(anchor, fresh, 0)
 	if len(drift) != 1 || !strings.Contains(drift[0], "allocations regressed") {
 		t.Fatalf("zero tolerance must gate any growth, drift = %v", drift)
@@ -111,7 +109,7 @@ func TestDiffRecordsAllocsZeroTolerance(t *testing.T) {
 }
 
 func TestDiffRecordsAllocsImprovementNeverGates(t *testing.T) {
-	anchor, fresh := columnarRecs(1000, 400)
+	anchor, fresh := allocRecs(1000, 400)
 	drift, report := diffRecords(anchor, fresh, 0.10)
 	if len(drift) != 0 {
 		t.Fatalf("fewer allocations must not gate: %v", drift)
@@ -121,28 +119,32 @@ func TestDiffRecordsAllocsImprovementNeverGates(t *testing.T) {
 	}
 }
 
-func TestDiffRecordsAllocsNotGatedOffColumnar(t *testing.T) {
-	// Generic-path records are a different data plane: informational only.
-	anchor, fresh := columnarRecs(1000, 5000)
-	anchor.Columnar = false
-	if drift, _ := diffRecords(anchor, fresh, 0.10); len(drift) != 0 {
-		t.Fatalf("non-columnar anchor must not gate allocs: %v", drift)
-	}
-	anchor.Columnar = true
-	fresh.Columnar = false
-	if drift, _ := diffRecords(anchor, fresh, 0.10); len(drift) != 0 {
-		t.Fatalf("non-columnar fresh record must not gate allocs: %v", drift)
-	}
-}
-
 func TestDiffRecordsAllocsMissingCounts(t *testing.T) {
 	// Records from before alloc accounting landed carry zero: n/a, no gate.
-	anchor, fresh := columnarRecs(0, 5000)
+	anchor, fresh := allocRecs(0, 5000)
 	drift, report := diffRecords(anchor, fresh, 0.10)
 	if len(drift) != 0 {
 		t.Fatalf("anchor without allocs must not gate: %v", drift)
 	}
 	if !strings.Contains(report, "n/a") {
 		t.Fatalf("missing allocs should render n/a:\n%s", report)
+	}
+}
+
+func TestDiffRecordsUnanchoredScenarioReported(t *testing.T) {
+	// A fresh scenario the anchor lacks cannot be gated, but it must not
+	// vanish from the report either.
+	fresh := anchorRec()
+	fresh.Scenarios = append(fresh.Scenarios, benchEntry{Name: "detbench/tpch-q6", VirtualS: 42.5, WallS: 0.25,
+		OutcomeFNV: "0123456789abcdef", TraceFNV: "fedcba9876543210"})
+	drift, report := diffRecords(anchorRec(), fresh, 0.10)
+	if len(drift) != 0 {
+		t.Fatalf("an unanchored scenario is not drift: %v", drift)
+	}
+	if !strings.Contains(report, "| detbench/tpch-q6 | UNANCHORED 42.5 | 0123456789abcdef | fedcba9876543210 |") {
+		t.Fatalf("unanchored scenario missing from report:\n%s", report)
+	}
+	if strings.Count(report, "UNANCHORED") != 2 { // the row plus the summary legend
+		t.Fatalf("only the fresh-only scenario should be UNANCHORED:\n%s", report)
 	}
 }

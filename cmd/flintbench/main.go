@@ -32,7 +32,6 @@ import (
 	"flint/internal/exec"
 	"flint/internal/experiments"
 	"flint/internal/obs"
-	"flint/internal/rdd"
 	"flint/internal/serverless"
 )
 
@@ -47,7 +46,7 @@ type benchEntry struct {
 	OutcomeFNV  string  `json:"outcome_fnv,omitempty"`
 	TraceFNV    string  `json:"trace_fnv,omitempty"`
 	TraceEvents int     `json:"trace_events,omitempty"`
-	Allocs      uint64  `json:"allocs,omitempty"` // heap allocations during the run (benchdiff gates growth for columnar records)
+	Allocs      uint64  `json:"allocs,omitempty"` // heap allocations during the run (benchdiff gates growth when both records carry counts)
 }
 
 // benchRecord is the BENCH_<rev>.json payload CI uploads as an artifact,
@@ -57,8 +56,6 @@ type benchRecord struct {
 	Workers   int          `json:"workers"`
 	GoMaxProc int          `json:"gomaxprocs"`
 	Scale     float64      `json:"scale"`
-	Columnar  bool         `json:"columnar"`
-	ColCarry  bool         `json:"colcarry"`
 	Backend   string       `json:"backend,omitempty"`
 	Scenarios []benchEntry `json:"scenarios"`
 }
@@ -71,8 +68,6 @@ func main() {
 	csvDir := flag.String("csv", "", "also write each figure's series as CSV files into this directory")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file covering the selected experiments to this path")
 	workers := flag.Int("workers", 0, "engine worker-pool width for task execution (0 = GOMAXPROCS; 1 = serial); any value produces identical results")
-	columnar := flag.Bool("columnar", true, "use the columnar data-plane kernels (false forces the generic Row path; results are identical either way)")
-	colcarry := flag.Bool("colcarry", true, "carry column batches end-to-end through shuffle/cache/checkpoint (false boxes at every operator boundary; results are identical either way)")
 	chaosSeeds := flag.Int("chaos-seeds", 25, "chaosbench: seeds per profile (1..n)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "chaosbench: run only this single seed (overrides -chaos-seeds; use to replay an artifact)")
 	chaosProfile := flag.String("chaos-profile", "", "chaosbench: run only this fault profile (default: all)")
@@ -94,8 +89,6 @@ func main() {
 		args = names()
 	}
 	exec.SetDefaultWorkers(*workers)
-	rdd.SetColumnar(*columnar)
-	rdd.SetColumnCarry(*colcarry)
 	switch *backend {
 	case "vm":
 		// Default: the engine's built-in VM backend.
@@ -128,7 +121,7 @@ func main() {
 	}
 	record := benchRecord{
 		Rev: *rev, Workers: *workers, GoMaxProc: runtime.GOMAXPROCS(0), Scale: *scale,
-		Columnar: *columnar, ColCarry: *colcarry, Backend: *backend,
+		Backend: *backend,
 	}
 	for _, name := range args {
 		sw := obs.Stopwatch()

@@ -68,9 +68,8 @@ func benchBucketRows(n int, str bool) []rdd.Row {
 
 // BenchmarkBucketing measures the map-side split of one partition's rows
 // into NumOut shuffle buckets. Base cases run the fused columnar index
-// pass; -row variants force the per-row generic Bucket path (the seed
-// implementation); -par4 variants chunk the columnar pass across four
-// goroutines (the idle-worker recruitment of parbucket.go).
+// pass; -par4 variants chunk the columnar pass across four goroutines
+// (the idle-worker recruitment of parbucket.go).
 func BenchmarkBucketing(b *testing.B) {
 	c := rdd.NewContext(2)
 	src := c.Parallelize("src", 1, 10, func(part int) []rdd.Row { return nil })
@@ -95,11 +94,6 @@ func BenchmarkBucketing(b *testing.B) {
 			}
 		}
 		b.Run(tc.name, body)
-		b.Run(tc.name+"-row", func(b *testing.B) {
-			rdd.SetColumnar(false)
-			defer rdd.SetColumnar(true)
-			body(b)
-		})
 		b.Run(tc.name+"-par4", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -1,9 +1,9 @@
 package exec
 
-// Round trips of the column-carrying planes: cache put/get, shuffle
+// Round trips of the column-carrying plane: cache put/get, shuffle
 // fetch-materialize vs the row plane, and checkpoint write/restore
-// through a live engine, each asserted value-identical whichever plane
-// carried the partition.
+// through a live engine, each asserted value-identical to the rows the
+// row plane (or EvalLocal) produces.
 
 import (
 	"fmt"
@@ -75,45 +75,30 @@ func TestShuffleFetchMaterializeBatchVsRows(t *testing.T) {
 	}
 }
 
-// Engine round trip: a caching + checkpointing + revoking run must
-// produce identical results and stats with column carry on and off —
-// the carry plane changes the partition representation, never the
-// values, sizes or schedule.
-func TestEngineColumnCarryOnOffIdentical(t *testing.T) {
-	build := func() *rdd.RDD {
-		c := rdd.NewContext(4)
-		src := c.Parallelize("src", 4, 16, func(part int) []rdd.Row {
-			return typedKVRows(3000, 200, int64(part)+101)
-		})
-		red := src.ReduceByKeyInt("sum", 4, func(a, b int) int { return a + b }).Persist()
-		grp := src.GroupByKey("grp", 4)
-		return red.Join("join", grp, 4)
+// Engine round trip: a caching + checkpointing + revoking run carries
+// columns through shuffle buckets, cache entries and checkpoint writes,
+// and must still deliver exactly the rows, in the same order, that
+// EvalLocal computes on the row plane.
+func TestEngineColumnCarryMatchesEvalLocal(t *testing.T) {
+	c := rdd.NewContext(4)
+	src := c.Parallelize("src", 4, 16, func(part int) []rdd.Row {
+		return typedKVRows(3000, 200, int64(part)+101)
+	})
+	red := src.ReduceByKeyInt("sum", 4, func(a, b int) int { return a + b }).Persist()
+	grp := src.GroupByKey("grp", 4)
+	target := red.Join("join", grp, 4)
+	want := fmt.Sprintf("%#v", rdd.CollectLocal(target))
+
+	tb := MustTestbed(TestbedOpts{Nodes: 5, Policy: &alwaysCheckpoint{}})
+	tb.RevokeNodes(30, 2, true)
+	res, err := tb.Engine.RunJob(target, ActionCollect)
+	if err != nil {
+		t.Fatal(err)
 	}
-	type outcome struct {
-		rows  string
-		stats JobStats
+	if got := fmt.Sprintf("%#v", res.Rows); got != want {
+		t.Fatal("engine rows differ from EvalLocal")
 	}
-	run := func() outcome {
-		target := build()
-		tb := MustTestbed(TestbedOpts{Nodes: 5, Policy: &alwaysCheckpoint{}})
-		tb.RevokeNodes(30, 2, true)
-		res, err := tb.Engine.RunJob(target, ActionCollect)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outcome{rows: fmt.Sprintf("%#v", res.Rows), stats: res.Stats}
-	}
-	on := run()
-	rdd.SetColumnCarry(false)
-	defer rdd.SetColumnCarry(true)
-	off := run()
-	if on.rows != off.rows {
-		t.Fatal("collected rows differ carry on vs off")
-	}
-	if !reflect.DeepEqual(on.stats, off.stats) {
-		t.Fatalf("job stats differ carry on vs off:\non  %+v\noff %+v", on.stats, off.stats)
-	}
-	if off.stats.CheckpointReads == 0 && off.stats.CheckpointTasks == 0 {
+	if res.Stats.CheckpointReads == 0 && res.Stats.CheckpointTasks == 0 {
 		t.Fatal("fixture never checkpointed; the round trip proved nothing")
 	}
 }

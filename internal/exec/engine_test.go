@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"flint/internal/obs"
@@ -94,9 +95,10 @@ func TestCountAction(t *testing.T) {
 
 func TestCachingAvoidsRecompute(t *testing.T) {
 	c := rdd.NewContext(4)
-	genCalls := 0
+	// Gen runs on the engine's worker pool, so the count is atomic.
+	var genCalls atomic.Int64
 	src := c.Parallelize("expensive", 4, 1024, func(part int) []rdd.Row {
-		genCalls++
+		genCalls.Add(1)
 		return []rdd.Row{part}
 	})
 	cached := src.Map("work", func(x rdd.Row) rdd.Row { return x.(int) * 2 }).Persist()
@@ -105,15 +107,15 @@ func TestCachingAvoidsRecompute(t *testing.T) {
 	if _, err := tb.Engine.RunJob(cached, ActionMaterialize); err != nil {
 		t.Fatal(err)
 	}
-	if genCalls != 4 {
-		t.Fatalf("first run generated %d partitions, want 4", genCalls)
+	if genCalls.Load() != 4 {
+		t.Fatalf("first run generated %d partitions, want 4", genCalls.Load())
 	}
 	r2, err := tb.Engine.RunJob(cached, ActionCollect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if genCalls != 4 {
-		t.Fatalf("cached rerun regenerated source (%d calls)", genCalls)
+	if genCalls.Load() != 4 {
+		t.Fatalf("cached rerun regenerated source (%d calls)", genCalls.Load())
 	}
 	if r2.Stats.CacheHits == 0 {
 		t.Error("second job should hit the cache")
@@ -238,9 +240,10 @@ func (p *alwaysCheckpoint) NotifyCheckpointDone(r *rdd.RDD, part int, bytes int6
 
 func TestCheckpointTruncatesRecomputation(t *testing.T) {
 	c := rdd.NewContext(4)
-	genCalls := 0
+	// Gen runs on the engine's worker pool, so the count is atomic.
+	var genCalls atomic.Int64
 	src := c.Parallelize("src", 4, 1024, func(part int) []rdd.Row {
-		genCalls++
+		genCalls.Add(1)
 		var out []rdd.Row
 		for i := 0; i < 50; i++ {
 			out = append(out, part*50+i)
@@ -262,7 +265,7 @@ func TestCheckpointTruncatesRecomputation(t *testing.T) {
 	if !tb.Store.Has("rdd/2/part/0") {
 		t.Fatalf("derived RDD not in store; keys: %v", tb.Store.Keys(""))
 	}
-	genCalls = 0
+	genCalls.Store(0)
 	// Revoke everything (wiping all caches), then recompute: the engine
 	// must restore from checkpoints without touching the source.
 	tb.RevokeNodes(tb.Clock.Now()+1, 4, true)
@@ -271,8 +274,8 @@ func TestCheckpointTruncatesRecomputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if genCalls != 0 {
-		t.Fatalf("source regenerated %d times despite checkpoints", genCalls)
+	if genCalls.Load() != 0 {
+		t.Fatalf("source regenerated %d times despite checkpoints", genCalls.Load())
 	}
 	if res.Stats.CheckpointReads == 0 {
 		t.Error("recovery should read checkpoints")

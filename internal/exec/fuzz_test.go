@@ -11,9 +11,13 @@ import (
 )
 
 // randomDAG builds a random RDD program from a seeded generator: a mix of
-// narrow transformations, unions, and shuffle operators over a couple of
-// sources. Every operation is deterministic, so rdd.EvalLocal is an
-// exact oracle for the engine.
+// narrow transformations, unions, and every keyed shuffle operator —
+// generic and typed-value reduces, group, join, coGroup, partitionBy —
+// over int- and string-keyed (and, after unions, mixed) rows from a
+// couple of sources. Every operation is deterministic, so rdd.EvalLocal
+// is an exact oracle for the engine. The engine runs the column plane
+// (each operator's ColFn and CombineCol) while EvalLocal runs the row
+// plane (Fn and Combine), so the oracle cross-checks the two.
 func randomDAG(seed int64) *rdd.RDD {
 	rng := rand.New(rand.NewSource(seed))
 	c := rdd.NewContext(4)
@@ -37,20 +41,34 @@ func randomDAG(seed int64) *rdd.RDD {
 			return rdd.KV{K: x.(int) % 13, V: 1}
 		})
 	}
+	// intValued keys r and coerces every value to an int, the value
+	// domain ReduceByKeyInt promises its kernels.
+	intValued := func(r *rdd.RDD, tag int) *rdd.RDD {
+		return keyed(r, tag).MapValues(fmt.Sprintf("int%d", tag), func(v rdd.Row) rdd.Row { return intOf(v) })
+	}
+	sum := func(a, b rdd.Row) rdd.Row {
+		av, aok := a.(int)
+		bv, bok := b.(int)
+		if aok && bok {
+			return av + bv
+		}
+		return a
+	}
 	ops := 3 + rng.Intn(8)
 	for i := 0; i < ops; i++ {
 		r := pool[rng.Intn(len(pool))]
+		name := func(op string) string { return fmt.Sprintf("%s%d", op, i) }
 		var next *rdd.RDD
-		switch rng.Intn(6) {
+		switch rng.Intn(12) {
 		case 0:
-			next = r.Map(fmt.Sprintf("map%d", i), func(x rdd.Row) rdd.Row {
+			next = r.Map(name("map"), func(x rdd.Row) rdd.Row {
 				if kv, ok := x.(rdd.KV); ok {
 					return rdd.KV{K: kv.K, V: kv.V}
 				}
 				return x.(int) + 1
 			})
 		case 1:
-			next = r.Filter(fmt.Sprintf("filter%d", i), func(x rdd.Row) bool {
+			next = r.Filter(name("filter"), func(x rdd.Row) bool {
 				if kv, ok := x.(rdd.KV); ok {
 					return rdd.HashKey(kv.K)%3 != 0
 				}
@@ -58,54 +76,84 @@ func randomDAG(seed int64) *rdd.RDD {
 			})
 		case 2:
 			other := pool[rng.Intn(len(pool))]
-			next = r.Union(fmt.Sprintf("union%d", i), other)
+			next = r.Union(name("union"), other)
 		case 3:
-			next = keyed(r, i).ReduceByKey(fmt.Sprintf("reduce%d", i), 2+rng.Intn(4), func(a, b rdd.Row) rdd.Row {
-				av, aok := a.(int)
-				bv, bok := b.(int)
-				if aok && bok {
-					return av + bv
-				}
-				return a
-			})
+			next = keyed(r, i).ReduceByKey(name("reduce"), 2+rng.Intn(4), sum)
 		case 4:
 			if rng.Intn(2) == 0 {
 				next = r.Persist()
 			} else {
-				next = r.Map(fmt.Sprintf("cachein%d", i), func(x rdd.Row) rdd.Row { return x }).Persist()
+				next = r.Map(name("cachein"), func(x rdd.Row) rdd.Row { return x }).Persist()
 			}
-		default:
+		case 5:
 			other := keyed(pool[rng.Intn(len(pool))], i+100)
-			next = keyed(r, i).Join(fmt.Sprintf("join%d", i), other, 2+rng.Intn(3))
+			next = keyed(r, i).Join(name("join"), other, 2+rng.Intn(3))
+		case 6:
+			next = intValued(r, i).ReduceByKeyInt(name("reduceInt"), 2+rng.Intn(4), func(a, b int) int { return a + b })
+		case 7:
+			// Tenths are inexact in binary, so a fold that associates
+			// differently from the row plane shows in the float bits.
+			tenths := intValued(r, i).MapValues(name("f64"), func(v rdd.Row) rdd.Row { return float64(v.(int)) / 10 })
+			next = tenths.ReduceByKeyFloat64(name("reduceF64"), 2+rng.Intn(4), func(a, b float64) float64 { return a + b })
+		case 8:
+			next = keyed(r, i).GroupByKey(name("group"), 2+rng.Intn(4))
+		case 9:
+			other := keyed(pool[rng.Intn(len(pool))], i+100)
+			next = keyed(r, i).CoGroup(name("cogroup"), other, 2+rng.Intn(3))
+		case 10:
+			next = keyed(r, i).PartitionBy(name("partition"), 2+rng.Intn(4))
+		default:
+			// String keys: a union with int-keyed rows then hands the
+			// next keyed operator a mixed-key batch.
+			next = keyed(r, i).Map(name("strkey"), func(x rdd.Row) rdd.Row {
+				kv := x.(rdd.KV)
+				return rdd.KV{K: fmt.Sprintf("s%d", rdd.HashKey(kv.K)%17), V: kv.V}
+			})
 		}
 		pool = append(pool, next)
 	}
 	// Final target: count-friendly reduce so results compare cheaply but
 	// still exercise rows.
-	return keyed(pool[len(pool)-1], 999).ReduceByKey("final", 3, func(a, b rdd.Row) rdd.Row {
-		av, aok := a.(int)
-		bv, bok := b.(int)
-		if aok && bok {
-			return av + bv
-		}
-		return a
-	})
+	return keyed(pool[len(pool)-1], 999).ReduceByKey("final", 3, sum)
 }
 
-// canonicalize renders rows order-insensitively.
-func canonicalize(rows []rdd.Row) []string {
+// intOf coerces any value a randomDAG operator emits to an int.
+func intOf(v rdd.Row) int {
+	switch x := v.(type) {
+	case int:
+		return x
+	case float64:
+		return int(x)
+	case []rdd.Row:
+		return len(x)
+	case [2][]rdd.Row:
+		return 10*len(x[0]) + len(x[1])
+	case rdd.JoinPair:
+		return intOf(x.L) + intOf(x.R)
+	}
+	return 1
+}
+
+// render renders rows in delivery order.
+func render(rows []rdd.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
 		out[i] = fmt.Sprintf("%#v", r)
 	}
+	return out
+}
+
+// canonicalize renders rows order-insensitively.
+func canonicalize(rows []rdd.Row) []string {
+	out := render(rows)
 	sort.Strings(out)
 	return out
 }
 
 // TestFuzzEngineMatchesOracle runs randomly generated DAGs on the engine
 // under randomly scheduled revocations and asserts bit-for-bit agreement
-// with the local evaluator. This is the repository's core correctness
-// property: failures never change answers.
+// with the local evaluator, row for row in delivery order. This is the
+// repository's core correctness property: failures never change answers.
 func TestFuzzEngineMatchesOracle(t *testing.T) {
 	trials := 40
 	if testing.Short() {
@@ -114,7 +162,7 @@ func TestFuzzEngineMatchesOracle(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(trial) * 7919
 		target := randomDAG(seed)
-		want := canonicalize(rdd.CollectLocal(target))
+		want := render(rdd.CollectLocal(target))
 
 		rng := rand.New(rand.NewSource(seed + 1))
 		tb := MustTestbed(TestbedOpts{Nodes: 3 + rng.Intn(4)})
@@ -128,7 +176,7 @@ func TestFuzzEngineMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		got := canonicalize(res.Rows)
+		got := render(res.Rows)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: row counts %d vs %d", trial, len(got), len(want))
 		}
@@ -176,11 +224,7 @@ func TestFuzzWorkerWidthInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
 		}
-		rows := make([]string, len(res.Rows))
-		for i, r := range res.Rows {
-			rows[i] = fmt.Sprintf("%#v", r) // delivery order, NOT canonicalized
-		}
-		return runOut{rows: rows, stats: res.Stats, snap: tb.Engine.Snapshot(), lat: res.Latency()}
+		return runOut{rows: render(res.Rows), stats: res.Stats, snap: tb.Engine.Snapshot(), lat: res.Latency()}
 	}
 	for trial := 0; trial < trials; trial++ {
 		serial := runOne(trial, 1)

@@ -3,17 +3,16 @@ package exec
 
 // Column-batch map-side bucketing: the batch plane of parbucket.go.
 //
-// When a shuffle dependency is Columnar and column carry is enabled, a
-// map task's output buckets are ColBatches: typed batches scatter their
-// key/value columns directly (rdd.BucketBatch and its range primitives,
-// chunked here across idle workers exactly like parallelBuckets), and
-// every bucket is then finalized — batch combine (CombineCol) for
-// reduce deps, keys-only extraction for group/join/partition deps — so
-// what enters the shuffle tracker is columns. Bucket b holds the same
-// rows in the same order as the row plane's bucket b for any helper
-// count (the chunk roll-up argument in parbucket.go applies unchanged);
-// the combine/extract step preserves row values, so detbench FNVs are
-// identical whichever plane ran.
+// When a shuffle dependency is Columnar, a map task's output buckets are
+// ColBatches: typed batches scatter their key/value columns directly
+// (rdd.BucketBatch and its range primitives, chunked here across idle
+// workers exactly like parallelBuckets), and every bucket is then
+// finalized — batch combine (CombineCol) for reduce deps, keys-only
+// extraction for group/join/partition deps — so what enters the shuffle
+// tracker is columns. Bucket b holds the same rows in the same order as
+// EvalLocal's row bucket b for any helper count (the chunk roll-up
+// argument in parbucket.go applies unchanged); the combine/extract step
+// preserves row values, so the engine's results equal the row plane's.
 
 import (
 	"sync/atomic"
@@ -25,7 +24,7 @@ import (
 // the map-side combine, on the column plane when the dep allows it.
 // Output is value-identical to bucketAndCombine over the boxed rows.
 func (e *Engine) bucketAndCombineBatch(dep *rdd.ShuffleDep, b *rdd.ColBatch) []*rdd.ColBatch {
-	if !dep.Columnar || dep.Partitioner != nil || !rdd.ColumnCarryEnabled() {
+	if !dep.Columnar || dep.Partitioner != nil {
 		// Row plane: classic bucketing + Combine, buckets wrapped
 		// tail-only (zero cost) for the batch-typed tracker.
 		buckets := e.bucketAndCombine(dep, b.Rows())

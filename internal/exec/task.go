@@ -235,7 +235,7 @@ func (tc *taskCtx) resolve(r *rdd.RDD, p int) *rdd.ColBatch {
 		}
 	}
 	var b *rdd.ColBatch
-	if r.ColFn != nil && rdd.ColumnCarryEnabled() {
+	if r.ColFn != nil {
 		b = r.ColFn(p, inputs)
 	} else {
 		// Egress: box each input batch for the row-plane closure. A

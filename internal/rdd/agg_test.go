@@ -8,34 +8,9 @@ import (
 
 // Unit coverage for the typed aggregation fast paths (agg.go). The
 // contract under test: every path — monomorphic int/int64/string,
-// generic fallback, and mid-batch migration — emits identical rows in
-// first-seen key order.
-
-// aggReference is the straightforward map[Row]int implementation the
-// fast paths must match exactly.
-func aggReference(rows []Row, create func(v Row) Row, merge func(acc, v Row) Row) []Row {
-	slots := make(map[Row]int)
-	var order, acc []Row
-	for _, r := range rows {
-		kv := r.(KV)
-		if s, ok := slots[kv.K]; ok {
-			acc[s] = merge(acc[s], kv.V)
-		} else {
-			slots[kv.K] = len(order)
-			order = append(order, kv.K)
-			v := kv.V
-			if create != nil {
-				v = create(v)
-			}
-			acc = append(acc, v)
-		}
-	}
-	out := make([]Row, len(order))
-	for i, k := range order {
-		out[i] = KV{K: k, V: acc[i]}
-	}
-	return out
-}
+// generic fallback, and mid-batch migration — emits the same rows as the
+// naive reference fold (refFold, reference_test.go) in first-seen key
+// order.
 
 func sumMerge(a, b Row) Row { return a.(int) + b.(int) }
 
@@ -57,14 +32,14 @@ func TestAggregateRowsTypedPaths(t *testing.T) {
 				rows[i] = KV{K: tc.key(i), V: 1}
 			}
 			got := aggregateRows(rows, nil, sumMerge)
-			want := aggReference(rows, nil, sumMerge)
+			want := refFold(rows, nil, sumMerge)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("aggregateRows = %v, want %v", got, want)
 			}
 			// With a create function (combineByKey shape).
 			create := func(v Row) Row { return v.(int) * 10 }
 			got = aggregateRows(rows, create, sumMerge)
-			want = aggReference(rows, create, sumMerge)
+			want = refFold(rows, create, sumMerge)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("with create = %v, want %v", got, want)
 			}
@@ -108,40 +83,10 @@ func TestAggregateRowsEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// TestKeyIndexDegradePreservesSlots fills a typed index past several
-// keys, forces degradation with a foreign key, and checks every slot
-// (old and new) still resolves identically.
-func TestKeyIndexDegradePreservesSlots(t *testing.T) {
-	var ix keyIndex
-	for i := 0; i < 10; i++ {
-		s, added := ix.slot(i * 2)
-		if s != i || !added {
-			t.Fatalf("slot(%d) = %d, %v", i*2, s, added)
-		}
-	}
-	// Foreign type triggers degrade.
-	s, added := ix.slot("x")
-	if s != 10 || !added {
-		t.Fatalf("slot(x) = %d, %v", s, added)
-	}
-	if ix.generic == nil || ix.ints != nil {
-		t.Fatal("index did not degrade to generic map")
-	}
-	for i := 0; i < 10; i++ {
-		if s, added := ix.slot(i * 2); s != i || added {
-			t.Errorf("post-degrade slot(%d) = %d, added=%v", i*2, s, added)
-		}
-		if s, ok := ix.lookup(i * 2); s != i || !ok {
-			t.Errorf("post-degrade lookup(%d) = %d, %v", i*2, s, ok)
-		}
-	}
-	if s, ok := ix.lookup("missing"); ok {
-		t.Errorf("lookup(missing) = %d, true", s)
-	}
-}
-
-// TestGroupKVMatchesAdd checks the two-pass grouped fill against the
-// incremental add() path on every key type, including a mixed batch.
+// TestGroupKVMatchesAdd checks the two-pass grouped fill — groupRows,
+// including its generic-key path (degradeGroup from row 0) — against the
+// incremental naive grouping on every key type, including a mixed batch
+// and a key type the columnar tables do not cover.
 func TestGroupKVMatchesAdd(t *testing.T) {
 	keysets := map[string]func(i int) Row{
 		"int":    func(i int) Row { return i % 5 },
@@ -152,6 +97,7 @@ func TestGroupKVMatchesAdd(t *testing.T) {
 			}
 			return fmt.Sprintf("k%d", i%5)
 		},
+		"float64": func(i int) Row { return float64(i%5) / 2 },
 	}
 	for name, key := range keysets {
 		t.Run(name, func(t *testing.T) {
@@ -159,46 +105,52 @@ func TestGroupKVMatchesAdd(t *testing.T) {
 			for i := range rows {
 				rows[i] = KV{K: key(i), V: i}
 			}
-			want := newKeyAgg(aggHint(len(rows)))
-			for _, r := range rows {
-				kv := r.(KV)
-				want.add(kv.K, kv.V)
+			order, vals, slots := refGroup(rows)
+			got := groupRows(rows)
+			if !reflect.DeepEqual(got.order, order) {
+				t.Errorf("order = %v, want %v", got.order, order)
 			}
-			got := groupKV(rows)
-			if !reflect.DeepEqual(got.order, want.order) {
-				t.Errorf("order = %v, want %v", got.order, want.order)
+			if !reflect.DeepEqual(got.vals, vals) {
+				t.Errorf("vals = %v, want %v", got.vals, vals)
 			}
-			if !reflect.DeepEqual(got.vals, want.vals) {
-				t.Errorf("vals = %v, want %v", got.vals, want.vals)
+			for _, k := range append(append([]Row{}, order...), 99, "absent") {
+				gs, gok := got.look(k)
+				ws, wok := slots[k]
+				if gs != ws || gok != wok {
+					t.Errorf("look(%v) = %d,%v, want %d,%v", k, gs, gok, ws, wok)
+				}
 			}
 		})
 	}
-	g := groupKV(nil)
+	g := groupRows(nil)
 	if len(g.order) != 0 || len(g.vals) != 0 {
-		t.Errorf("groupKV(nil) = %v/%v", g.order, g.vals)
+		t.Errorf("groupRows(nil) = %v/%v", g.order, g.vals)
 	}
 }
 
-// TestGroupKVPinnedCaps verifies the shared-backing-array contract:
+// TestGroupKVPinnedCaps verifies the shared-backing-array contract of
+// the grouped fill on both the columnar and the generic-map path:
 // appending to one emitted group must copy, never clobber the next
 // group's rows.
 func TestGroupKVPinnedCaps(t *testing.T) {
-	rows := []Row{
-		KV{K: "a", V: 1}, KV{K: "a", V: 2},
-		KV{K: "b", V: 3}, KV{K: "b", V: 4},
-	}
-	a := groupKV(rows)
-	if len(a.vals) != 2 {
-		t.Fatalf("groups = %d", len(a.vals))
-	}
-	for i, v := range a.vals {
-		if len(v) != cap(v) {
-			t.Errorf("group %d: len %d != cap %d (append would clobber)", i, len(v), cap(v))
+	for _, keys := range [][2]Row{{"a", "b"}, {1.5, 2.5}} {
+		rows := []Row{
+			KV{K: keys[0], V: 1}, KV{K: keys[0], V: 2},
+			KV{K: keys[1], V: 3}, KV{K: keys[1], V: 4},
 		}
-	}
-	_ = append(a.vals[0], 99)
-	if !reflect.DeepEqual(a.vals[1], []Row{3, 4}) {
-		t.Errorf("append to group 0 clobbered group 1: %v", a.vals[1])
+		g := groupRows(rows)
+		if len(g.vals) != 2 {
+			t.Fatalf("%v: groups = %d", keys, len(g.vals))
+		}
+		for i, v := range g.vals {
+			if len(v) != cap(v) {
+				t.Errorf("%v: group %d: len %d != cap %d (append would clobber)", keys, i, len(v), cap(v))
+			}
+		}
+		_ = append(g.vals[0], 99)
+		if !reflect.DeepEqual(g.vals[1], []Row{3, 4}) {
+			t.Errorf("%v: append to group 0 clobbered group 1: %v", keys, g.vals[1])
+		}
 	}
 }
 

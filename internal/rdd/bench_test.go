@@ -61,8 +61,8 @@ func sumReduceF(a, b Row) Row { return a.(float64) + b.(float64) }
 // int-sum ReduceByKey task runs (wordcount's counts stage, lineage
 // recomputation after revocations). The base cases measure the columnar
 // typed-value kernel the workloads now use (ReduceByKeyInt); the -row
-// variants measure the generic Row path those same cases ran before the
-// columnar plane landed — the before→after ratio within one run.
+// variants measure the boxed fold of the generic ReduceByKey operator
+// (aggregateTyped) on the same rows.
 func BenchmarkReduceByKey(b *testing.B) {
 	const n = 1 << 16
 	cases := []struct {
@@ -143,7 +143,7 @@ func BenchmarkReduceByKey(b *testing.B) {
 
 // BenchmarkJoin exercises the reduce-side join body: aggregate both
 // inputs by key, emit the cross product per key. Base cases run the
-// columnar grouping kernels; -row variants force the generic path.
+// row-plane Fn over the columnar grouping kernels.
 func BenchmarkJoin(b *testing.B) {
 	const n = 1 << 14
 	build := func(left, right []Row) *RDD {
@@ -173,11 +173,6 @@ func BenchmarkJoin(b *testing.B) {
 			}
 		}
 		b.Run(c.name, body)
-		b.Run(c.name+"-row", func(b *testing.B) {
-			SetColumnar(false)
-			defer SetColumnar(true)
-			body(b)
-		})
 		// -col measures the carry plane: both inputs arrive as typed
 		// key-column batches (the shuffle-ingress form ExtractBatch
 		// produces for join deps) and the output stays a batch.

@@ -2,44 +2,23 @@
 package rdd
 
 // Columnar batch kernels. The hot keyed operators — reduce/combine,
-// group, join, coGroup and shuffle bucketing — have two interchangeable
-// implementations:
+// group, join, coGroup and shuffle bucketing — extract keys once into
+// typed columns, probe them through open-addressed slot tables
+// (coltable.go) and, for the ReduceByKeyInt/ReduceByKeyFloat64
+// operators, fold values unboxed, boxing one accumulator per key at
+// emission instead of one per merged row.
 //
-//   - the generic Row path (agg.go / keyIndex): interface-boxed keys
-//     probed through Go maps, values folded through func(a, b Row) Row
-//     closures whose every result is re-boxed;
-//   - the columnar path (this file + coltable.go): keys extracted once
-//     into typed columns, probed through open-addressed slot tables, and
-//     — for the ReduceByKeyInt/ReduceByKeyFloat64 operators — values
-//     folded unboxed, boxing one accumulator per key at emission instead
-//     of one per merged row.
-//
-// Both paths assign key slots in first-seen order and fold each key's
-// values in arrival order, so their outputs are byte-identical: same
-// rows, same order, same float bit patterns. A batch whose key or value
-// type stops matching the detected column type degrades mid-batch to the
-// generic path with every already-assigned slot preserved (the same
-// contract keyIndex.degrade has). FuzzColumnarRowEquivalence and the
-// TestColumnar* unit tests in col_test.go pin this equivalence; the
-// detbench FNV gates pin it end to end.
-//
-// SetColumnar(false) forces every operator onto the generic path — CI
-// diffs detbench exports columnar-on vs columnar-off to prove the two
-// planes byte-identical (see .github/workflows/ci.yml).
-
-import "sync/atomic"
-
-// columnarOff is set when the columnar kernels are disabled. Inverted so
-// the zero value means enabled (the default).
-var columnarOff atomic.Bool
-
-// SetColumnar enables or disables the columnar kernels process-wide.
-// Disabled, every keyed operator runs the generic Row path; outputs are
-// byte-identical either way. Exposed as flintbench -columnar.
-func SetColumnar(on bool) { columnarOff.Store(!on) }
-
-// ColumnarEnabled reports whether the columnar kernels are in use.
-func ColumnarEnabled() bool { return !columnarOff.Load() }
+// Every kernel assigns key slots in first-seen order and folds each
+// key's values in arrival order, so recomputing a partition after a
+// revocation rebuilds byte-identical rows: same keys, same order, same
+// float bit patterns. Keys of any other comparable type run on a plain
+// map[Row]int with the same contract, and a batch whose key or value
+// type stops matching the detected column type degrades mid-batch onto
+// that map with every already-assigned slot preserved (slotMap).
+// FuzzKeyedOpsMatchReference (reference_test.go) pins the contract
+// against a naive map-based reimplementation of the keyed operators;
+// the TestColumnar* unit tests in col_test.go pin the degrade edges and
+// the detbench FNV gates pin it end to end.
 
 // fnvStr hashes a string key exactly like HashKey does (FNV-1a), without
 // the hash.Hash64 allocation. Shuffle routing depends on this equality:
@@ -191,7 +170,7 @@ func reduceRowsFloat64(rows []Row, f func(a, b float64) float64) []Row {
 // the generic fallback so merge association order — and therefore float
 // bit patterns — match the columnar fold exactly.
 func reduceTyped[V any](rows []Row, f func(a, b V) V, box func(a, b Row) Row) []Row {
-	if len(rows) == 0 || !ColumnarEnabled() {
+	if len(rows) == 0 {
 		return reduceRows(rows, box)
 	}
 	kv, ok := rows[0].(KV)
@@ -314,29 +293,20 @@ func emitTyped[V any](order []Row, vals []V) []Row {
 // degradeReduce finishes a typed fold on the generic path after a
 // foreign key or value type appeared mid-batch: the typed accumulators
 // are boxed once, the slot index is rebuilt as a generic map from the
-// order column (slot numbers preserved — order[s] is slot s's key), and
-// the remaining rows run through aggregateSlots with the boxed merge.
-// A value that never meets another of its key passes through unfolded on
-// both paths, so outputs stay value-identical.
+// order column (slotMap), and the remaining rows run through
+// aggregateSlots with the boxed merge. A value that never meets another
+// of its key passes through unfolded on both paths, so outputs stay
+// value-identical.
 //
 //lint:egress degrade path re-boxes the typed accumulators it is abandoning
 func degradeReduce[V any](rest []Row, order []Row, vals []V, box func(a, b Row) Row) []Row {
 	hint := aggHint(len(rest))
-	g := make(map[Row]int, len(order)+hint)
-	for s, k := range order {
-		g[k] = s
-	}
 	acc := make([]Row, len(order), len(order)+hint)
 	for s, v := range vals {
 		acc[s] = v
 	}
-	ix := keyIndex{capHint: hint, n: len(order), generic: g}
-	order, acc = aggregateSlots(rest, nil, box, &ix, order, acc)
-	out := make([]Row, len(order))
-	for i, k := range order {
-		out[i] = KV{K: k, V: acc[i]}
-	}
-	return out
+	order, acc = aggregateSlots(rest, nil, box, slotMap(order, hint), order, acc)
+	return emitTyped(order, acc)
 }
 
 // --- Columnar grouping (GroupByKey / Join / CoGroup) -----------------
@@ -344,7 +314,7 @@ func degradeReduce[V any](rest []Row, order []Row, vals []V, box func(a, b Row) 
 // grouping is the operator-facing view of a grouped batch: keys in
 // first-seen order, each key's values in arrival order, and a lookup
 // from key to slot for cross-side probes (joins). Built columnar by
-// groupRows when the batch allows it, else on the generic keyAgg. The
+// groupRows for int/int64/string keys, else on a generic map. The
 // batch kernels (groupBatch, colkernel.go) build groupings whose key
 // order is a typed column instead of boxed rows: kkind discriminates,
 // orderI/orderS hold the keys, and lookI/lookS are the unboxed probe
@@ -391,12 +361,13 @@ func (g *grouping) key(i int) Row {
 	}
 }
 
-// groupRows groups KV rows by key. The two-pass exact-size scheme of
-// groupKV is kept — assign slots and count, then fill value slices
-// carved from one flat allocation — with the slot probes running on the
-// columnar tables for int/int64/string keys.
+// groupRows groups KV rows by key in two passes — assign slots and
+// count, then fill value slices carved from one flat allocation — with
+// the slot probes running on the columnar tables for int/int64/string
+// keys and on a generic map (degradeGroup from row 0) for any other key
+// type.
 func groupRows(rows []Row) *grouping {
-	if len(rows) > 0 && ColumnarEnabled() {
+	if len(rows) > 0 {
 		if kv, ok := rows[0].(KV); ok {
 			switch kv.K.(type) {
 			case int:
@@ -408,8 +379,8 @@ func groupRows(rows []Row) *grouping {
 			}
 		}
 	}
-	a := groupKV(rows)
-	return &grouping{order: a.order, vals: a.vals, look: a.ix.lookup}
+	hint := aggHint(len(rows))
+	return degradeGroup(rows, 0, make([]Row, 0, hint), make([]int32, len(rows)), make([]int32, 0, hint))
 }
 
 // groupKeyI64 is the columnar grouping pass for integer keys.
@@ -443,8 +414,8 @@ func groupKeyI64[K ~int | ~int64](rows []Row) *grouping {
 			kk, ok := k.(K)
 			if !ok {
 				// A differently-typed probe key can never equal one of
-				// this batch's keys (Go interface equality), same as the
-				// typed-map lookup of keyIndex.
+				// this batch's keys (Go interface equality), same as a
+				// map[Row]int lookup.
 				return 0, false
 			}
 			s, ok := t.lookup(int64(kk), mix(uint64(kk)))
@@ -491,34 +462,39 @@ func groupKeyStr(rows []Row) *grouping {
 	}
 }
 
-// degradeGroup finishes a columnar grouping pass on the generic keyIndex
-// after a foreign key type appeared at rows[i]: the generic map is
-// rebuilt from the order column with slot numbers preserved, the count
-// pass continues, and lookups run on the migrated index.
+// degradeGroup finishes a grouping pass on a generic map[Row]int from
+// rows[i] on: the map is rebuilt from the order column with slot numbers
+// preserved (slotMap), the count pass continues, and lookups run on the
+// map. With i == 0 and empty order it is the whole grouping for key
+// types the columnar tables do not cover.
 func degradeGroup(rows []Row, i int, order []Row, slots []int32, counts []int32) *grouping {
-	hint := aggHint(len(rows) - i)
-	g := make(map[Row]int, len(order)+hint)
-	for s, k := range order {
-		g[k] = s
-	}
-	ix := &keyIndex{capHint: hint, n: len(order), generic: g}
+	idx := slotMap(order, aggHint(len(rows)-i))
 	for ; i < len(rows); i++ {
 		kv := rows[i].(KV)
-		s, added := ix.slot(kv.K)
-		if added {
+		s, seen := idx[kv.K]
+		if !seen {
+			s = len(order)
+			idx[kv.K] = s
 			order = append(order, kv.K)
 			counts = append(counts, 0)
 		}
 		slots[i] = int32(s)
 		counts[s]++
 	}
-	return &grouping{order: order, vals: fillGroups(rows, slots, counts), look: ix.lookup}
+	return &grouping{
+		order: order,
+		vals:  fillGroups(rows, slots, counts),
+		look: func(k Row) (int, bool) {
+			s, ok := idx[k]
+			return s, ok
+		},
+	}
 }
 
 // fillGroups is the exact-size fill pass shared by the columnar grouping
 // kernels: value slices carved from one flat allocation with capacities
-// pinned to their own segments (the same no-clobber contract groupKV
-// documents).
+// pinned to their own segments, so consumers appending to an emitted
+// group copy instead of clobbering a neighbour.
 func fillGroups(rows []Row, slots []int32, counts []int32) [][]Row {
 	flat := make([]Row, len(rows))
 	vals := make([][]Row, len(counts))

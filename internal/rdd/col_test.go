@@ -67,7 +67,8 @@ func decodeFuzzRows(data []byte) []Row {
 
 // FuzzColumnarRowEquivalence drives random typed and mixed partitions
 // through every columnar kernel and asserts byte-identical results —
-// rows, order, and canonical FNVs — against the generic Row path. The
+// rows, order, and canonical FNVs — against the naive reference
+// (reference_test.go) and the row-plane operator bodies. The
 // merge function is first-wins so mixed value types never panic while
 // association order still shows through.
 func FuzzColumnarRowEquivalence(f *testing.F) {
@@ -83,29 +84,28 @@ func FuzzColumnarRowEquivalence(f *testing.F) {
 	f.Add([]byte{0xe1, 0x01, 0xe2, 0x02, 0xe1, 0x03, 0xe3, 4}) // composite keys
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows := decodeFuzzRows(data)
-		if !ColumnarEnabled() {
-			t.Fatal("fuzz harness expects the columnar default on")
+
+		// Reduce: the typed-value kernels and the generic fold vs the
+		// naive reference fold.
+		refReduced := refFold(rows, nil, firstWins)
+		for _, got := range [][]Row{reduceTyped(rows, keepLeft, firstWins), reduceRows(rows, firstWins)} {
+			if !reflect.DeepEqual(got, refReduced) || rowsFNV(got) != rowsFNV(refReduced) {
+				t.Fatalf("reduce mismatch:\ngot %v\nref %v", got, refReduced)
+			}
 		}
 
-		// Reduce: columnar kernels vs the generic fold.
-		colReduced := reduceTyped(rows, keepLeft, firstWins)
-		genReduced := reduceRows(rows, firstWins)
-		if !reflect.DeepEqual(colReduced, genReduced) || rowsFNV(colReduced) != rowsFNV(genReduced) {
-			t.Fatalf("reduce mismatch:\ncol %v\ngen %v", colReduced, genReduced)
-		}
-
-		// Group: columnar tables vs the generic keyAgg, including lookups.
+		// Group: columnar tables vs the naive grouping, including lookups.
 		colG := groupRows(rows)
-		genA := groupKV(rows)
-		if !reflect.DeepEqual(colG.order, genA.order) || !reflect.DeepEqual(colG.vals, genA.vals) {
-			t.Fatalf("group mismatch:\ncol %v %v\ngen %v %v", colG.order, colG.vals, genA.order, genA.vals)
+		refOrder, refVals, refSlots := refGroup(rows)
+		if !reflect.DeepEqual(colG.order, refOrder) || !reflect.DeepEqual(colG.vals, refVals) {
+			t.Fatalf("group mismatch:\ncol %v %v\nref %v %v", colG.order, colG.vals, refOrder, refVals)
 		}
 		probes := append(append([]Row{}, colG.order...), int(99), "absent", int64(99), 3.5)
 		for _, k := range probes {
 			ci, cok := colG.look(k)
-			gi, gok := genA.ix.lookup(k)
-			if ci != gi || cok != gok {
-				t.Fatalf("lookup(%v) = %d,%v col vs %d,%v gen", k, ci, cok, gi, gok)
+			ri, rok := refSlots[k]
+			if ci != ri || cok != rok {
+				t.Fatalf("lookup(%v) = %d,%v col vs %d,%v ref", k, ci, cok, ri, rok)
 			}
 		}
 
@@ -266,59 +266,15 @@ func TestColumnarGroupDegradeMidPartition(t *testing.T) {
 		KV{K: 1, V: "d"}, KV{K: "s", V: "e"},
 	}
 	colG := groupRows(rows)
-	genA := groupKV(rows)
-	if !reflect.DeepEqual(colG.order, genA.order) || !reflect.DeepEqual(colG.vals, genA.vals) {
-		t.Fatalf("grouping degrade mismatch: %v %v vs %v %v", colG.order, colG.vals, genA.order, genA.vals)
+	refOrder, refVals, refSlots := refGroup(rows)
+	if !reflect.DeepEqual(colG.order, refOrder) || !reflect.DeepEqual(colG.vals, refVals) {
+		t.Fatalf("grouping degrade mismatch: %v %v vs %v %v", colG.order, colG.vals, refOrder, refVals)
 	}
 	for _, k := range colG.order {
 		ci, cok := colG.look(k)
-		gi, gok := genA.ix.lookup(k)
-		if !cok || ci != gi || cok != gok {
-			t.Fatalf("post-degrade lookup(%v) = %d,%v want %d,%v", k, ci, cok, gi, gok)
+		if ri := refSlots[k]; !cok || ci != ri {
+			t.Fatalf("post-degrade lookup(%v) = %d,%v want %d,true", k, ci, cok, ri)
 		}
-	}
-}
-
-// SetColumnar(false) must force the generic path with identical results
-// (this is the CI columnar-off determinism leg in miniature).
-func TestSetColumnarOffIdenticalResults(t *testing.T) {
-	rng := rand.New(rand.NewSource(0x5eedc01a))
-	rows := make([]Row, 5000)
-	for i := range rows {
-		rows[i] = KV{K: rng.Intn(512), V: rng.Intn(100)}
-	}
-	srows := make([]Row, 3000)
-	for i := range srows {
-		srows[i] = KV{K: fmt.Sprintf("k%03d", rng.Intn(256)), V: float64(i) / 3}
-	}
-	dep := &ShuffleDep{NumOut: 20}
-
-	onReduced := reduceRowsInt(rows, intSum)
-	onF64 := reduceRowsFloat64(srows, f64Sum)
-	onBuckets := dep.BucketRows(rows)
-	onGroup := groupRows(rows)
-
-	SetColumnar(false)
-	defer SetColumnar(true)
-	if ColumnarEnabled() {
-		t.Fatal("SetColumnar(false) did not disable the columnar plane")
-	}
-	offReduced := reduceRowsInt(rows, intSum)
-	offF64 := reduceRowsFloat64(srows, f64Sum)
-	offBuckets := dep.BucketRows(rows)
-	offGroup := groupRows(rows)
-
-	if !reflect.DeepEqual(onReduced, offReduced) {
-		t.Fatal("int reduce differs columnar on vs off")
-	}
-	if !reflect.DeepEqual(onF64, offF64) {
-		t.Fatal("float64 reduce differs columnar on vs off")
-	}
-	if !reflect.DeepEqual(onBuckets, offBuckets) {
-		t.Fatal("buckets differ columnar on vs off")
-	}
-	if !reflect.DeepEqual(onGroup.order, offGroup.order) || !reflect.DeepEqual(onGroup.vals, offGroup.vals) {
-		t.Fatal("grouping differs columnar on vs off")
 	}
 }
 

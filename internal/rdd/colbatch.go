@@ -3,7 +3,7 @@ package rdd
 
 // ColBatch is the column-carrying partition representation: the unit the
 // engine moves between operators, shuffle buckets, cache entries and
-// checkpoint writes when column carry is enabled (SetColumnCarry).
+// checkpoint writes.
 //
 // A batch is a prefix of typed rows followed by an optional generic tail:
 //
@@ -30,8 +30,6 @@ package rdd
 //
 // Batches are immutable once published (the same contract shuffle
 // buckets always had); every consumer may alias their columns.
-
-import "sync/atomic"
 
 // colKind discriminates the typed key column layout of a batch.
 type colKind uint8
@@ -65,22 +63,6 @@ type ColBatch struct {
 	vg    []Row     // vRow value column (original value boxes)
 	tail  []Row     // rows after the degrade point (original row boxes)
 }
-
-// colCarryOff is set when column carry between operators is disabled.
-// Inverted so the zero value means enabled (the default).
-var colCarryOff atomic.Bool
-
-// SetColumnCarry enables or disables carrying typed columns across
-// operator boundaries (shuffle buckets, cache entries, checkpoints).
-// Disabled, every batch is tail-only and the engine behaves exactly like
-// the PR 7 []Row plane; outputs are byte-identical either way. Exposed
-// as flintbench -colcarry and diffed in CI's determinism matrix.
-func SetColumnCarry(on bool) { colCarryOff.Store(!on) }
-
-// ColumnCarryEnabled reports whether batches carry typed columns between
-// operators. Column carry rides on the columnar kernels: disabling them
-// (SetColumnar) disables carry too.
-func ColumnCarryEnabled() bool { return !colCarryOff.Load() && ColumnarEnabled() }
 
 // WrapRows wraps a []Row as a tail-only batch without copying or
 // inspecting it. Rows() returns the same slice back, so a wrap-unwrap

@@ -234,40 +234,3 @@ func TestGroupAndJoinBatchMatchRowPlane(t *testing.T) {
 		})
 	}
 }
-
-// SetColumnCarry(false) must leave every operator on the row plane with
-// identical lineage results; carry also implies columnar, so disabling
-// columnar disables carry.
-func TestColumnCarryOffIdenticalResults(t *testing.T) {
-	if !ColumnCarryEnabled() {
-		t.Fatal("test expects the carry default on")
-	}
-	gen := func(part int) []Row {
-		r := rand.New(rand.NewSource(int64(part) + 31))
-		rows := make([]Row, 1500)
-		for i := range rows {
-			rows[i] = KV{K: r.Intn(100), V: r.Intn(50)}
-		}
-		return rows
-	}
-	build := func() [][]Row {
-		c := NewContext(4)
-		src := c.Parallelize("src", 4, 8, gen)
-		red := src.ReduceByKeyInt("sum", 4, intSum)
-		joined := red.Join("join", src.GroupByKey("grp", 4), 4)
-		return EvalLocal(joined)
-	}
-	on := build()
-	SetColumnCarry(false)
-	off := build()
-	SetColumnCarry(true)
-	if !reflect.DeepEqual(on, off) {
-		t.Fatal("lineage output differs carry on vs off")
-	}
-	SetColumnar(false)
-	if ColumnCarryEnabled() {
-		SetColumnar(true)
-		t.Fatal("columnar off must imply carry off")
-	}
-	SetColumnar(true)
-}

@@ -6,9 +6,12 @@ package rdd
 // without crossing through []Row. Every kernel is value-equivalent to
 // boxing its input (ColBatch.Rows) and running the corresponding row
 // kernel from col.go / shuffle.go — same keys, same first-seen order,
-// same fold association order, same float bit patterns. The batch
-// round-trip tests in colbatch_test.go and FuzzColumnarRowEquivalence
-// pin this; the detbench FNV gates pin it end to end.
+// same fold association order, same float bit patterns. The engine runs
+// these bodies while EvalLocal runs the row kernels (each operator's
+// Fn), so the two stay cross-checked: the batch round-trip tests in
+// colbatch_test.go and FuzzColumnarRowEquivalence per kernel,
+// TestFuzzEngineMatchesOracle (internal/exec) per lineage DAG, and the
+// detbench FNV gates end to end.
 //
 // Inputs that the columnar layout cannot describe — tail-only batches,
 // batches that degraded mid-extraction — fall back to the row kernel and
@@ -22,7 +25,7 @@ package rdd
 // column-to-column (zero boxing); anything else boxes through the row
 // kernel and re-extracts.
 func reduceColInt(b *ColBatch, f func(a, b int) int) *ColBatch {
-	if ColumnCarryEnabled() && b.vkind == vInt && len(b.tail) == 0 && b.HasCols() {
+	if b.vkind == vInt && len(b.tail) == 0 && b.HasCols() {
 		merge := func(a, bb int64) int64 { return int64(f(int(a), int(bb))) }
 		switch b.kkind {
 		case kStr:
@@ -40,7 +43,7 @@ func reduceColInt(b *ColBatch, f func(a, b int) int) *ColBatch {
 // reduceColInt. Fold association order matches the row kernel, so float
 // results are bit-identical.
 func reduceColFloat64(b *ColBatch, f func(a, b float64) float64) *ColBatch {
-	if ColumnCarryEnabled() && b.vkind == vF64 && len(b.tail) == 0 && b.HasCols() {
+	if b.vkind == vF64 && len(b.tail) == 0 && b.HasCols() {
 		switch b.kkind {
 		case kStr:
 			ks, vf := foldColStrKey(b.ks, b.vf, f)
@@ -121,7 +124,7 @@ func foldColStrKey[V int64 | float64](ks []string, vs []V, merge func(a, b V) V)
 // boxes a key. Tail-carrying or tail-only batches run the row kernel
 // (identical output; the grouping is then generic).
 func groupBatch(b *ColBatch) *grouping {
-	if !b.HasCols() || len(b.tail) > 0 || !ColumnCarryEnabled() {
+	if !b.HasCols() || len(b.tail) > 0 {
 		return groupRows(b.Rows())
 	}
 	switch b.kkind {

@@ -2,13 +2,12 @@
 package rdd
 
 // Columnar slot tables: open-addressed hash indexes over typed key
-// columns. They replace the per-row map[K]int probes of the generic
-// aggregation path with linear probing over two flat arrays (keys and
-// slots), sized to a power of two so the probe sequence needs no
-// division. Slot numbers are handed out in first-seen order exactly like
-// keyIndex, so the rows a columnar kernel emits are byte-identical to the
-// generic path's; the table layout itself (probe positions, growth
-// instants) never leaks into any output.
+// columns. They replace per-row Go map probes with linear probing over
+// two flat arrays (keys and slots), sized to a power of two so the probe
+// sequence needs no division. Slot numbers are handed out in first-seen
+// order exactly like the generic map[Row]int path, so the rows a
+// columnar kernel emits are byte-identical to it; the table layout
+// itself (probe positions, growth instants) never leaks into any output.
 //
 // fastDiv strength-reduces the shuffle bucketer's `hash % numOut` — a
 // 64-bit hardware division per row — into a 128-bit multiply and shift

@@ -84,19 +84,20 @@ type ShuffleDep struct {
 	// as Partitioner; it must not mutate the input slice.
 	Combine func(rows []Row) []Row
 
-	// Columnar marks the dependency as batch-aware: when column carry is
-	// enabled (ColumnCarryEnabled) the engine buckets its map outputs as
-	// ColBatches — typed scatter via BucketBatch, each bucket extracted
-	// (or combined via CombineCol) into columns — instead of []Row. The
-	// canned keyed operators set it; custom shuffles default to the row
-	// plane. Requires Partitioner == nil: a custom partitioner sees boxed
-	// rows, so its batches stay on the row plane.
+	// Columnar marks the dependency as batch-aware: the engine buckets
+	// its map outputs as ColBatches — typed scatter via BucketBatch,
+	// each bucket extracted (or combined via CombineCol) into columns —
+	// instead of []Row. The canned keyed operators set it; custom
+	// shuffles default to the row plane. Requires Partitioner == nil: a
+	// custom partitioner sees boxed rows, so its batches stay on the row
+	// plane.
 	Columnar bool
 
-	// CombineCol is the batch form of Combine, applied to each column
-	// bucket when Columnar carry is active. It must be value-equivalent
-	// to Combine over the boxed rows (same rows, same order). Both are
-	// set: the row plane (EvalLocal, carry disabled) uses Combine.
+	// CombineCol is the batch form of Combine, which the engine applies
+	// to each column bucket of a Columnar dependency. It must be
+	// value-equivalent to Combine over the boxed rows (same rows, same
+	// order). Both are set: EvalLocal, the engine's reference, buckets
+	// rows and uses Combine.
 	CombineCol func(b *ColBatch) *ColBatch
 }
 
@@ -139,10 +140,9 @@ type RDD struct {
 
 	// ColFn is the batch form of Fn, set by operators whose body can
 	// consume and produce ColBatches without boxing (the keyed shuffle
-	// operators). When set and column carry is enabled, the engine calls
-	// it instead of Fn; it must be value-equivalent — ColFn(p, ins).Rows()
-	// equals Fn(p, rows(ins)) row for row. Fn is always set too: the
-	// local evaluator and the carry-off plane use it.
+	// operators). When set, the engine calls it instead of Fn; it must
+	// be value-equivalent — ColFn(p, ins).Rows() equals Fn(p, rows(ins))
+	// row for row. Fn is always set too: the local evaluator uses it.
 	ColFn func(part int, inputs []*ColBatch) *ColBatch
 
 	// Weight scales the virtual compute cost of producing this RDD

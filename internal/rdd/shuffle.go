@@ -41,7 +41,7 @@ func (d *ShuffleDep) BucketRows(rows []Row) [][]Row {
 	if len(rows) == 0 {
 		return make([][]Row, d.NumOut)
 	}
-	if d.Partitioner == nil && ColumnarEnabled() && len(rows) >= d.NumOut {
+	if d.Partitioner == nil && len(rows) >= d.NumOut {
 		// Integer keys only: hashing them is a handful of arithmetic ops,
 		// so saving the second row traversal is measurable. String batches
 		// are bound by the key-bytes FNV hash either way and showed no win
@@ -95,12 +95,11 @@ func (d *ShuffleDep) bucketOnePass(rows []Row) [][]Row {
 // of the range: disjoint ranges may run concurrently over the same idx
 // slice with private counts. Integer- and string-keyed spans run the
 // fused columnar pass (extract + hash + strength-reduced modulo); rows
-// past the typed span — or any batch with a custom Partitioner or
-// columnar disabled — go through the generic d.Bucket, with identical
-// bucket numbers either way.
+// past the typed span — or any batch with a custom Partitioner — go
+// through the generic d.Bucket, with identical bucket numbers either way.
 func (d *ShuffleDep) BucketIndexRange(rows []Row, lo, hi int, idx []int32, counts []int) {
 	i := lo
-	if d.Partitioner == nil && ColumnarEnabled() {
+	if d.Partitioner == nil {
 		i = bucketIndexTyped(rows, lo, hi, newFastDiv(uint64(d.NumOut)), idx, counts)
 	}
 	for ; i < hi; i++ {
