@@ -28,6 +28,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 
 	"flint/internal/exec"
 	"flint/internal/experiments"
@@ -74,6 +75,8 @@ func main() {
 	chaosOut := flag.String("chaos-out", "", "chaosbench: dump violating schedules as replayable JSON artifacts into this directory")
 	benchOut := flag.String("bench-out", "", "write a machine-readable benchmark record (scenario -> virtual makespan + wall seconds) to this JSON file")
 	rev := flag.String("rev", "", "revision identifier recorded in the -bench-out file")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write a heap profile (allocations included) to this file after the selected experiments")
 	backend := flag.String("backend", "vm", "execution backend: vm (spot servers, local state) or fn (function slots, externalized state); workload outcomes are identical either way")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: flintbench [flags] <experiment>...\nexperiments: %v\n", names())
@@ -123,6 +126,11 @@ func main() {
 		Rev: *rev, Workers: *workers, GoMaxProc: runtime.GOMAXPROCS(0), Scale: *scale,
 		Backend: *backend,
 	}
+	stopProfiling, err := startProfiling(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "flintbench: profile: %v\n", err)
+		os.Exit(1)
+	}
 	for _, name := range args {
 		sw := obs.Stopwatch()
 		entries, err := run(os.Stdout, name, s, *runs, *markets, *portfolioMarkets, *csvDir, chaosOpts)
@@ -139,6 +147,10 @@ func main() {
 		record.Scenarios = append(record.Scenarios, entries...)
 		fmt.Printf("[%s completed in %.3fs]\n\n", name, wallS)
 	}
+	if err := stopProfiling(); err != nil {
+		fmt.Fprintf(os.Stderr, "flintbench: profile: %v\n", err)
+		os.Exit(1)
+	}
 	if bundle != nil {
 		if err := writeTrace(*traceOut, bundle); err != nil {
 			fmt.Fprintf(os.Stderr, "flintbench: trace: %v\n", err)
@@ -151,6 +163,43 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// startProfiling starts a CPU profile into cpuPath (when set) and
+// returns the function that stops it and writes a heap profile into
+// memPath (when set).
+func startProfiling(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // up-to-date live-heap statistics
+		err = pprof.Lookup("allocs").WriteTo(f, 0)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}, nil
 }
 
 // writeBench dumps the benchmark record as indented JSON.

@@ -120,3 +120,23 @@ func TestWriteBench(t *testing.T) {
 		t.Fatalf("round-trip = %+v", got)
 	}
 }
+
+func TestProfilingWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	stop, err := startProfiling(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run(io.Discard, "fig2", 1, 2, 6, 16, "", experiments.ChaosbenchOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("%s: profile missing or empty (%v)", p, err)
+		}
+	}
+}

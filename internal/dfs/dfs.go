@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -85,6 +86,13 @@ type Store struct {
 	// injector's frozen clock) — it is consulted from worker goroutines.
 	readFault func(key string) bool
 
+	// changes is the retained tail of the presence log: every key whose
+	// existence changed (created by Put, removed by Delete/DeletePrefix),
+	// oldest first. changeSeq counts every entry ever logged, so the
+	// tail holds sequence numbers [changeSeq-len(changes), changeSeq).
+	changes   []string
+	changeSeq uint64
+
 	// occupancy accounting
 	curBytes     int64
 	lastAt       float64
@@ -113,10 +121,62 @@ func New(cfg Config) *Store {
 // Key builds the canonical checkpoint key for a partition: the paper
 // stores "all partition checkpoints that belong to a single RDD inside
 // the same directory", which we mirror as rdd/<id>/part/<index>.
-func Key(rddID, part int) string { return fmt.Sprintf("rdd/%d/part/%d", rddID, part) }
+func Key(rddID, part int) string {
+	var buf [40]byte
+	return string(AppendKey(buf[:0], rddID, part))
+}
+
+// AppendKey appends Key(rddID, part) to dst. Hot-path probes build the
+// key in a stack buffer and pass it to Probe, which never allocates.
+func AppendKey(dst []byte, rddID, part int) []byte {
+	return AppendPartKey(dst, "rdd/", rddID, part)
+}
+
+// AppendPartKey appends the key <dir><id>/part/<part> to dst: the
+// layout of Key, under an arbitrary directory prefix.
+func AppendPartKey(dst []byte, dir string, id, part int) []byte {
+	dst = append(dst, dir...)
+	dst = strconv.AppendInt(dst, int64(id), 10)
+	dst = append(dst, "/part/"...)
+	return strconv.AppendInt(dst, int64(part), 10)
+}
 
 // RDDPrefix is the directory prefix holding all of an RDD's partitions.
-func RDDPrefix(rddID int) string { return fmt.Sprintf("rdd/%d/", rddID) }
+func RDDPrefix(rddID int) string { return "rdd/" + strconv.Itoa(rddID) + "/" }
+
+// maxChangeLog bounds the retained presence-log tail; a reader that
+// falls further behind is told its view is incomplete.
+const maxChangeLog = 4096
+
+// logChange appends key to the presence log. Caller holds s.mu.
+func (s *Store) logChange(key string) {
+	if len(s.changes) >= maxChangeLog {
+		n := copy(s.changes, s.changes[len(s.changes)/2:])
+		clear(s.changes[n:])
+		s.changes = s.changes[:n]
+	}
+	s.changes = append(s.changes, key)
+	s.changeSeq++
+}
+
+// Changes appends to dst, oldest first, every key whose existence
+// changed at or after sequence number since, and returns it with the
+// sequence number to pass next time. complete is false when the log no
+// longer retains everything since then (the reader fell too far behind,
+// or SetReadFault changed the readability of every key at once): the
+// reader must then treat every key as changed.
+func (s *Store) Changes(since uint64, dst []string) (keys []string, next uint64, complete bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	first := s.changeSeq - uint64(len(s.changes))
+	if since < first {
+		return dst, s.changeSeq, false
+	}
+	if since < s.changeSeq {
+		dst = append(dst, s.changes[since-first:]...)
+	}
+	return dst, s.changeSeq, true
+}
 
 // advance brings the occupancy integral up to time now.
 func (s *Store) advance(now float64) {
@@ -139,6 +199,8 @@ func (s *Store) Put(key string, value any, bytes int64, now float64) {
 	s.advance(now)
 	if old, ok := s.objs[key]; ok {
 		s.curBytes -= old.bytes * int64(s.cfg.ReplicationFactor)
+	} else {
+		s.logChange(key)
 	}
 	s.objs[key] = &object{value: value, bytes: bytes, putAt: now}
 	s.curBytes += bytes * int64(s.cfg.ReplicationFactor)
@@ -159,6 +221,11 @@ func (s *Store) SetReadFault(f func(key string) bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.readFault = f
+	// Every key's readability may have changed: drop the log tail so
+	// every reader's next Changes call reports an incomplete view.
+	clear(s.changes)
+	s.changes = s.changes[:0]
+	s.changeSeq++
 }
 
 // faulted reports whether key is inside an injected read-fault window.
@@ -209,10 +276,26 @@ func (s *Store) NoteReads(n int, bytes int64) {
 // view (missingShuffles) agrees with what the task resolver will see at
 // the same virtual instant.
 func (s *Store) Has(key string) bool {
+	ok, _ := s.Probe([]byte(key))
+	return ok
+}
+
+// Probe is Has for a key held in a byte slice (see AppendKey): it does
+// not allocate unless a read-fault hook must be shown the key. volatile
+// reports that the answer came from the read-fault hook's view of an
+// existing object, which may change as virtual time advances; an
+// absent key is absent at every instant until the presence log says
+// otherwise.
+func (s *Store) Probe(key []byte) (ok, volatile bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.objs[key]
-	return ok && !s.faulted(key)
+	if _, ok := s.objs[string(key)]; !ok {
+		return false, false
+	}
+	if s.readFault == nil {
+		return true, false
+	}
+	return !s.readFault(string(key)), true
 }
 
 // Delete removes key at time now. Deleting a missing key is a no-op.
@@ -232,6 +315,7 @@ func (s *Store) deleteLocked(key string, now float64) {
 	s.advance(now)
 	s.curBytes -= o.bytes * int64(s.cfg.ReplicationFactor)
 	delete(s.objs, key)
+	s.logChange(key)
 	s.deletes++
 }
 

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -145,5 +146,85 @@ func TestDurabilityAcrossManyOperations(t *testing.T) {
 		if !ok || v.(int) != i {
 			t.Fatalf("object %d lost or corrupted", i)
 		}
+	}
+}
+
+func TestAppendKeyMatchesKeyFormat(t *testing.T) {
+	for _, c := range [][2]int{{0, 0}, {7, 12}, {123456, 987654321}} {
+		want := fmt.Sprintf("rdd/%d/part/%d", c[0], c[1])
+		if got := Key(c[0], c[1]); got != want {
+			t.Errorf("Key = %q, want %q", got, want)
+		}
+		if got := string(AppendKey([]byte("x"), c[0], c[1])); got != "x"+want {
+			t.Errorf("AppendKey = %q, want %q", got, "x"+want)
+		}
+		if got := string(AppendPartKey(nil, "fncache/", c[0], c[1])); got != fmt.Sprintf("fncache/%d/part/%d", c[0], c[1]) {
+			t.Errorf("AppendPartKey = %q", got)
+		}
+		if got, want := RDDPrefix(c[0]), fmt.Sprintf("rdd/%d/", c[0]); got != want {
+			t.Errorf("RDDPrefix = %q, want %q", got, want)
+		}
+	}
+}
+
+// Probe answers exactly like Has, flags answers that came from the
+// read-fault hook, and does not allocate without one.
+func TestProbeMatchesHas(t *testing.T) {
+	s := New(DefaultConfig())
+	s.Put(Key(1, 2), nil, 10, 0)
+	present, absent := AppendKey(nil, 1, 2), AppendKey(nil, 1, 3)
+	if ok, v := s.Probe(present); !ok || v {
+		t.Errorf("present key: ok=%v volatile=%v", ok, v)
+	}
+	if ok, v := s.Probe(absent); ok || v {
+		t.Errorf("absent key: ok=%v volatile=%v", ok, v)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Probe(present); s.Probe(absent) }); n != 0 {
+		t.Errorf("Probe allocates %.1f times per run", n)
+	}
+	faulting := true
+	s.SetReadFault(func(string) bool { return faulting })
+	if ok, v := s.Probe(present); ok || !v || s.Has(Key(1, 2)) {
+		t.Errorf("faulted key: ok=%v volatile=%v", ok, v)
+	}
+	faulting = false
+	if ok, v := s.Probe(present); !ok || !v || !s.Has(Key(1, 2)) {
+		t.Errorf("hooked readable key: ok=%v volatile=%v", ok, v)
+	}
+	if ok, v := s.Probe(absent); ok || v {
+		t.Errorf("absent key under a hook: ok=%v volatile=%v", ok, v)
+	}
+}
+
+// The presence log records creations and deletions (not overwrites),
+// in order, and reports a reader that fell behind it as incomplete.
+func TestChangesLogsPresence(t *testing.T) {
+	s := New(DefaultConfig())
+	_, seq, _ := s.Changes(0, nil)
+	s.Put("a", nil, 1, 0)
+	s.Put("a", nil, 2, 1) // overwrite: presence unchanged
+	s.Put("rdd/3/part/0", nil, 1, 1)
+	s.Put("rdd/3/part/1", nil, 1, 1)
+	s.Delete("a", 2)
+	s.Delete("missing", 2)
+	s.DeletePrefix(RDDPrefix(3), 3)
+	got, next, complete := s.Changes(seq, nil)
+	want := []string{"a", "rdd/3/part/0", "rdd/3/part/1", "a", "rdd/3/part/0", "rdd/3/part/1"}
+	if !complete || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("changes = %v (complete=%v), want %v", got, complete, want)
+	}
+	if none, again, complete := s.Changes(next, nil); len(none) != 0 || again != next || !complete {
+		t.Fatalf("caught-up reader: keys=%v next=%d complete=%v", none, again, complete)
+	}
+	s.SetReadFault(nil)
+	if _, _, complete := s.Changes(next, nil); complete {
+		t.Error("SetReadFault must invalidate every reader's view")
+	}
+	_, seq, _ = s.Changes(0, nil)
+	for i := 0; i <= maxChangeLog; i++ {
+		s.Put(Key(9, i), nil, 1, 4)
+	}
+	if _, _, complete := s.Changes(seq, nil); complete {
+		t.Error("a reader behind the retained log must be told it is incomplete")
 	}
 }

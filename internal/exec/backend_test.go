@@ -15,7 +15,7 @@ func TestFnBackendMatchesVMRows(t *testing.T) {
 	run := func(backend Backend) (map[int]int, *Result) {
 		c := rdd.NewContext(4)
 		target := pipeline(c, 2000, 4)
-		tb := MustTestbed(TestbedOpts{Nodes: 5, Backend: backend})
+		tb := checked(MustTestbed(TestbedOpts{Nodes: 5, Backend: backend}))
 		res, err := tb.Engine.RunJob(target, ActionCollect)
 		if err != nil {
 			t.Fatal(err)
@@ -49,7 +49,7 @@ func TestExplicitVMBackendIdentical(t *testing.T) {
 	run := func(backend Backend) (*Result, float64) {
 		c := rdd.NewContext(4)
 		target := pipeline(c, 1500, 4)
-		tb := MustTestbed(TestbedOpts{Nodes: 4, Backend: backend})
+		tb := checked(MustTestbed(TestbedOpts{Nodes: 4, Backend: backend}))
 		res, err := tb.Engine.RunJob(target, ActionCollect)
 		if err != nil {
 			t.Fatal(err)
@@ -83,7 +83,7 @@ func TestFnBackendStateSurvivesRevocation(t *testing.T) {
 		return out
 	})
 	cached := src.Map("work", func(x rdd.Row) rdd.Row { return x.(int) + 1 }).Persist()
-	tb := MustTestbed(TestbedOpts{Nodes: 4, Backend: serverless.New(serverless.Config{})})
+	tb := checked(MustTestbed(TestbedOpts{Nodes: 4, Backend: serverless.New(serverless.Config{})}))
 	if _, err := tb.Engine.RunJob(cached, ActionMaterialize); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestFnBackendStateSurvivesRevocation(t *testing.T) {
 func TestFnBackendShuffleSurvivesNodeLoss(t *testing.T) {
 	c := rdd.NewContext(4)
 	target := pipeline(c, 3000, 6)
-	tb := MustTestbed(TestbedOpts{Nodes: 5, Backend: serverless.New(serverless.Config{})})
+	tb := checked(MustTestbed(TestbedOpts{Nodes: 5, Backend: serverless.New(serverless.Config{})}))
 	// Revoke two nodes while the job is in flight.
 	tb.RevokeNodes(5, 2, true)
 	res, err := tb.Engine.RunJob(target, ActionCollect)

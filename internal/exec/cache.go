@@ -3,7 +3,6 @@ package exec
 import (
 	"container/list"
 	"fmt"
-	"sort"
 
 	"flint/internal/rdd"
 )
@@ -48,9 +47,13 @@ type blockCache struct {
 	memLRU, diskLRU   *list.List // front = most recent
 	// onEvict, when set, observes capacity evictions: demoted is true for
 	// a memory→disk demotion, false when the block left the cache
-	// entirely. Overwrites (put of an existing key) and explicit
-	// dropRDD/revocation cleanup do not count as evictions.
+	// entirely. Overwrites (put of an existing key) and revocation
+	// cleanup do not count as evictions.
 	onEvict func(k blockKey, bytes int64, demoted bool)
+	// onPresence, when set, observes every key entering (true) or
+	// leaving (false) blocks; the engine's block-location index is
+	// maintained from it.
+	onPresence func(k blockKey, present bool)
 }
 
 func newBlockCache(memCap, diskCap int64) *blockCache {
@@ -123,7 +126,7 @@ func (c *blockCache) put(k blockKey, data *rdd.ColBatch, bytes int64) {
 		b.where = tierMem
 		b.elem = c.memLRU.PushFront(b)
 		c.memUsed += bytes
-		c.blocks[k] = b
+		c.insert(b)
 		return
 	}
 	if bytes <= c.diskCap {
@@ -131,7 +134,7 @@ func (c *blockCache) put(k blockKey, data *rdd.ColBatch, bytes int64) {
 		b.where = tierDisk
 		b.elem = c.diskLRU.PushFront(b)
 		c.diskUsed += bytes
-		c.blocks[k] = b
+		c.insert(b)
 	}
 	// else: too large to store anywhere; silently skipped.
 }
@@ -158,7 +161,7 @@ func (c *blockCache) evictMem(need int64) {
 				c.onEvict(b.key, b.bytes, true)
 			}
 		} else {
-			delete(c.blocks, b.key)
+			c.drop(b.key)
 			if c.onEvict != nil {
 				c.onEvict(b.key, b.bytes, false)
 			}
@@ -178,7 +181,7 @@ func (c *blockCache) evictDisk(need int64) {
 		b := e.Value.(*block)
 		c.diskLRU.Remove(e)
 		c.diskUsed -= b.bytes
-		delete(c.blocks, b.key)
+		c.drop(b.key)
 		if c.onEvict != nil {
 			c.onEvict(b.key, b.bytes, false)
 		}
@@ -196,25 +199,27 @@ func (c *blockCache) remove(b *block) {
 		c.diskLRU.Remove(b.elem)
 		c.diskUsed -= b.bytes
 	}
-	delete(c.blocks, b.key)
+	c.drop(b.key)
 }
 
-// dropRDD removes every cached partition of an RDD (uncache).
+// insert makes b resident under its key; the only way a key enters
+// blocks.
 //
-//lint:effects removes every cached partition of an RDD
-func (c *blockCache) dropRDD(rddID int) {
-	var doomed []*block
-	for _, b := range c.blocks {
-		if b.key.rddID == rddID {
-			doomed = append(doomed, b)
-		}
+//lint:effects inserts a cache block
+func (c *blockCache) insert(b *block) {
+	c.blocks[b.key] = b
+	if c.onPresence != nil {
+		c.onPresence(b.key, true)
 	}
-	// Deterministic removal order (flintlint maporder): remove touches
-	// the LRU lists and tier counters, and eviction order must never
-	// depend on map iteration order.
-	sort.Slice(doomed, func(i, j int) bool { return doomed[i].key.part < doomed[j].key.part })
-	for _, b := range doomed {
-		c.remove(b)
+}
+
+// drop forgets key k; the only way a key leaves blocks.
+//
+//lint:effects removes a cache block
+func (c *blockCache) drop(k blockKey) {
+	delete(c.blocks, k)
+	if c.onPresence != nil {
+		c.onPresence(k, false)
 	}
 }
 

@@ -98,24 +98,6 @@ func TestBlockCacheOversizeBlocks(t *testing.T) {
 	}
 }
 
-func TestBlockCacheDropRDD(t *testing.T) {
-	c := newBlockCache(1000, 1000)
-	c.put(blockKey{1, 0}, nil, 100)
-	c.put(blockKey{1, 1}, nil, 100)
-	c.put(blockKey{2, 0}, nil, 100)
-	c.dropRDD(1)
-	if c.has(blockKey{1, 0}) || c.has(blockKey{1, 1}) {
-		t.Error("dropRDD left partitions behind")
-	}
-	if !c.has(blockKey{2, 0}) {
-		t.Error("dropRDD removed wrong RDD")
-	}
-	mem, _ := c.usage()
-	if mem != 100 {
-		t.Errorf("usage after drop = %d", mem)
-	}
-}
-
 // Property: under any operation sequence, tier occupancies never exceed
 // capacity and always equal the sum of resident block sizes.
 func TestPropertyBlockCacheInvariants(t *testing.T) {
@@ -125,13 +107,11 @@ func TestPropertyBlockCacheInvariants(t *testing.T) {
 		ops := int(opsRaw)%120 + 10
 		for i := 0; i < ops; i++ {
 			k := blockKey{rddID: rng.Intn(3), part: rng.Intn(5)}
-			switch rng.Intn(4) {
+			switch rng.Intn(3) {
 			case 0, 1:
 				c.put(k, nil, int64(rng.Intn(280)+1))
 			case 2:
 				c.get(k)
-			case 3:
-				c.dropRDD(k.rddID)
 			}
 			mem, disk := c.usage()
 			if mem > 500 || disk > 300 || mem < 0 || disk < 0 {

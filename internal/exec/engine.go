@@ -25,7 +25,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 
 	"flint/internal/cluster"
 	"flint/internal/dfs"
@@ -149,6 +149,20 @@ type Engine struct {
 	backend Backend
 	fnMode  bool
 
+	// Scheduler control plane (control.go).
+	holders    map[blockKey]int        // block-location index: live caches holding each block
+	blockWatch map[blockKey][]walkRef  // memoized walks that read each block's presence
+	depWatch   map[shuffleID][]walkRef // memoized walks that read each dep's availability
+	storeSeq   uint64                  // cursor into the store's presence log
+	changeBuf  []string                // syncControl's presence-log scratch
+	walkSeen   []blockKey              // blocks visited by the current walk
+	needBuf    []int                   // replan's needed-partition scratch
+	// lineageProbes counts walk steps not yet added to obs.
+	lineageProbes int64
+	// checkMemo, set only by engine tests, cross-checks every stage visit
+	// against fresh reference walks and panics on any difference.
+	checkMemo bool
+
 	obs *obs.Obs
 	// revokedAt holds the revocation instants still awaiting a
 	// replacement node, oldest first, for the recovery-time histogram.
@@ -172,6 +186,9 @@ func New(clock *simclock.Clock, store *dfs.Store, cfg Config, policy CheckpointP
 		shuffles:    newShuffleTracker(),
 		pendingCkpt: make(map[blockKey]bool),
 		computeSeen: make(map[blockKey]int),
+		holders:     make(map[blockKey]int),
+		blockWatch:  make(map[blockKey][]walkRef),
+		depWatch:    make(map[shuffleID][]walkRef),
 		workers:     resolveWorkers(cfg.Workers),
 		scatterSem:  make(chan struct{}, resolveWorkers(cfg.Workers)-1),
 		retry:       cfg.Retry.withDefaults(),
@@ -182,6 +199,7 @@ func New(clock *simclock.Clock, store *dfs.Store, cfg Config, policy CheckpointP
 		e.backend = vmBackend{}
 	}
 	e.fnMode = !e.backend.KeepsLocalState()
+	_, e.storeSeq, _ = store.Changes(0, nil)
 	e.obs.ExecWorkers.Set(float64(e.workers))
 	return e
 }
@@ -244,6 +262,7 @@ func (e *Engine) onNodeUp(n *cluster.Node) {
 			Node: n.ID, RDD: k.rddID, Part: k.part, Bytes: bytes, Bits: bits,
 		})
 	}
+	cache.onPresence = e.notePresence
 	e.nodes[n.ID] = &nodeState{
 		node:      n,
 		freeSlots: n.Slots,
@@ -281,26 +300,21 @@ func (e *Engine) onRevoked(n *cluster.Node) {
 		if t.kind == taskCompute {
 			t.stage.job.stats.TasksKilled++
 			delete(t.stage.inFlight, t.part)
+			t.stage.dirty = true
 		}
 		if t.kind == taskCheckpoint {
 			delete(e.pendingCkpt, blockKey{rddID: t.ckptRDD.ID, part: t.part})
 		}
 	}
-	// All volatile state on the node is gone.
+	// All volatile state on the node is gone. (Presence updates commute,
+	// so the map order of this loop is irrelevant.)
+	for k := range ns.cache.blocks {
+		e.notePresence(k, false)
+	}
 	e.shuffles.dropNode(n.ID)
 	delete(e.nodes, n.ID)
 	e.obs.LiveNodes.Set(float64(len(e.nodes)))
 	e.pump()
-}
-
-// cachedAnywhere reports whether block k is in any live node's cache.
-func (e *Engine) cachedAnywhere(k blockKey) bool {
-	for _, ns := range e.nodes {
-		if ns.cache.has(k) {
-			return true
-		}
-	}
-	return false
 }
 
 // checkpointKey is the store key for partition (r, p).
@@ -311,7 +325,22 @@ func checkpointKey(r *rdd.RDD, p int) string { return dfs.Key(r.ID, p) }
 // the checkpoint manager's rdd/ keys, so the checkpoint-store
 // consistency audit never mistakes externalized cache for orphaned
 // checkpoints.
-func fnCacheKey(r *rdd.RDD, p int) string { return fmt.Sprintf("fncache/%d/part/%d", r.ID, p) }
+func fnCacheKey(r *rdd.RDD, p int) string {
+	var buf [48]byte
+	return string(dfs.AppendPartKey(buf[:0], fnCacheDir, r.ID, p))
+}
+
+// fnCacheDir is the store directory of externalized cached partitions.
+const fnCacheDir = "fncache/"
+
+// fnShuffleKey is the store key a function backend mirrors map output
+// part of shuffle sid under.
+func fnShuffleKey(sid shuffleID, part int) string {
+	var buf [48]byte
+	b := strconv.AppendInt(append(buf[:0], "fnshuffle/"...), int64(sid), 10)
+	b = strconv.AppendInt(append(b, "/map/"...), int64(part), 10)
+	return string(b)
+}
 
 // Submit enqueues a job; cb runs at the virtual instant the job
 // completes.
@@ -361,7 +390,8 @@ func (e *Engine) RunJob(target *rdd.RDD, action Action) (*Result, error) {
 // pump is the heart of the scheduler: it re-derives, from ground truth
 // (delivered results, registered shuffle outputs, live caches and
 // checkpoints), which tasks must run, enqueues them, and dispatches onto
-// free slots. It is idempotent and is invoked on every state change.
+// free slots. It is idempotent and is invoked on every state change;
+// the derivation is incremental (control.go).
 func (e *Engine) pump() {
 	visited := make(map[*stage]bool)
 	for _, j := range e.activeJobs {
@@ -369,57 +399,9 @@ func (e *Engine) pump() {
 			e.trySubmit(j.resultStage, visited)
 		}
 	}
+	e.obs.ExecLineageProbes.Add(e.lineageProbes)
+	e.lineageProbes = 0
 	e.dispatch()
-}
-
-// trySubmit enqueues the runnable needed partitions of s and recursively
-// submits the parent map stages for partitions blocked on missing shuffle
-// outputs.
-func (e *Engine) trySubmit(s *stage, visited map[*stage]bool) {
-	if visited[s] {
-		return
-	}
-	visited[s] = true
-	needed := e.stageNeededParts(s)
-	var blockedDeps []*rdd.ShuffleDep
-	seenDep := make(map[*rdd.ShuffleDep]bool)
-	enqueued := false
-	for _, p := range needed {
-		if s.inFlight[p] {
-			continue
-		}
-		miss := make(map[*rdd.ShuffleDep]bool)
-		e.missingShuffles(s.out, p, miss, make(map[blockKey]bool))
-		if len(miss) == 0 {
-			e.enqueueCompute(s, p)
-			enqueued = true
-			continue
-		}
-		for dep := range miss {
-			if !seenDep[dep] {
-				seenDep[dep] = true
-				blockedDeps = append(blockedDeps, dep)
-			}
-		}
-	}
-	if enqueued && !s.active {
-		s.active = true
-		s.activeSince = e.clock.Now()
-		e.obs.Emit(obs.Event{
-			Type: obs.EvStageSubmit, Time: s.activeSince,
-			Job: s.job.id, Stage: s.id, RDD: s.out.ID,
-		})
-		if e.policy != nil {
-			e.policy.NotifyStageActive(s.out, e.clock.Now())
-		}
-	}
-	// Deterministic recursion order.
-	sort.Slice(blockedDeps, func(i, j int) bool {
-		return e.shuffles.register(blockedDeps[i]) < e.shuffles.register(blockedDeps[j])
-	})
-	for _, dep := range blockedDeps {
-		e.trySubmit(s.job.mapStageFor(dep, e), visited)
-	}
 }
 
 func (e *Engine) enqueueCompute(s *stage, part int) {
@@ -626,7 +608,7 @@ func (e *Engine) onTaskDone(t *task) {
 		return
 	case taskSystemCkpt:
 		ns.sysCkptInFlight = false
-		e.store.Put(fmt.Sprintf("sys/node/%d", ns.node.ID), nil, t.sysBytes, now)
+		e.store.Put("sys/node/"+strconv.Itoa(ns.node.ID), nil, t.sysBytes, now)
 		e.metrics.SystemCkptTasks++
 		e.obs.SystemCkptTasks.Inc()
 		e.obs.Emit(obs.Event{
@@ -640,6 +622,7 @@ func (e *Engine) onTaskDone(t *task) {
 	s := t.stage
 	j := s.job
 	delete(s.inFlight, t.part)
+	s.dirty = true
 	e.obs.TaskDur.Observe(t.dur)
 	e.obs.Emit(obs.Event{
 		Type: obs.EvTaskDone, Time: now, Dur: t.dur, Job: j.id,
@@ -713,12 +696,12 @@ func (e *Engine) onTaskDone(t *task) {
 	offer := append(append([]computedPart(nil), t.eff.computed...), t.eff.touched...)
 	for _, cp := range offer {
 		k := blockKey{rddID: cp.r.ID, part: cp.part}
-		if e.pendingCkpt[k] || e.store.Has(checkpointKey(cp.r, cp.part)) {
+		if e.pendingCkpt[k] {
 			continue
 		}
-		if e.fnMode && e.store.Has(fnCacheKey(cp.r, cp.part)) {
-			// Already durable via externalization; a checkpoint copy
-			// would only duplicate it.
+		// Already checkpointed, or durable via externalization (a
+		// checkpoint copy would only duplicate it).
+		if ok, _ := e.durable(k); ok {
 			continue
 		}
 		if cp.r.CheckpointRequested || (e.policy != nil && e.policy.ShouldCheckpoint(cp.r, now)) {
@@ -750,7 +733,7 @@ func (e *Engine) onTaskDone(t *task) {
 		if e.fnMode {
 			sid := e.shuffles.register(s.dep)
 			if o := e.shuffles.state(s.dep).outputs[t.part]; o != nil {
-				e.store.Put(fmt.Sprintf("fnshuffle/%d/map/%d", sid, t.part), nil, o.total, now)
+				e.store.Put(fnShuffleKey(sid, t.part), nil, o.total, now)
 			}
 		}
 		if e.shuffles.state(s.dep).available() && len(s.inFlight) == 0 && s.active {
@@ -857,9 +840,12 @@ func (e *Engine) finishJob(j *job, now float64) {
 			res.Count += int64(len(part))
 		}
 	}
-	// Drop the per-partition buffers for materialize/count.
-	if j.action != ActionCollect {
-		j.results = nil
+	// Drop the per-partition buffers (collected rows now live in res)
+	// and the memoized walks, which watch lists may still reference.
+	j.results = nil
+	j.resultStage.walks = nil
+	for _, s := range j.mapStages {
+		s.walks = nil
 	}
 	// Remove from active list.
 	for i, a := range e.activeJobs {
@@ -919,11 +905,13 @@ func (e *Engine) ComputeCount(rddID, part int) int {
 	return e.computeSeen[blockKey{rddID: rddID, part: part}]
 }
 
-// Audit cross-checks the engine's incremental byte accounting against a
-// full recomputation from ground truth: every live node's cache counters
-// versus its resident blocks, and the shuffle tracker's per-node totals
-// versus the registered map outputs. It returns the first inconsistency
-// found, or nil. Used by the chaos invariant checkers after a fault run.
+// Audit cross-checks the engine's incremental state against a full
+// recomputation from ground truth: every live node's cache counters
+// versus its resident blocks, the shuffle tracker's per-node totals and
+// missing counts versus the registered map outputs, the block-location
+// index versus the live caches, and every memoized lineage walk versus a
+// fresh one. It returns the first inconsistency found, or nil. Used by
+// the chaos invariant checkers during and after a fault run.
 func (e *Engine) Audit() error {
 	for _, ns := range e.sortedNodes() {
 		if err := ns.cache.audit(); err != nil {
@@ -932,6 +920,9 @@ func (e *Engine) Audit() error {
 	}
 	if err := e.shuffles.audit(); err != nil {
 		return fmt.Errorf("exec: shuffle tracker: %w", err)
+	}
+	if err := e.auditControl(); err != nil {
+		return fmt.Errorf("exec: control plane: %w", err)
 	}
 	return nil
 }

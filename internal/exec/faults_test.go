@@ -59,7 +59,7 @@ func TestCheckpointWriteRetriesThenSucceeds(t *testing.T) {
 	derived := ckptTestRDD(c)
 	pol := &failureCountingPolicy{}
 	bundle := obs.New(obs.Options{Disabled: true, RingCapacity: 1})
-	tb := MustTestbed(TestbedOpts{Nodes: 4, Policy: pol, Obs: bundle})
+	tb := checked(MustTestbed(TestbedOpts{Nodes: 4, Policy: pol, Obs: bundle}))
 	// Every write fails twice, then succeeds on the third of the four
 	// allowed attempts.
 	tb.Engine.SetFaultInjector(&scriptedInjector{
@@ -104,7 +104,7 @@ func TestCheckpointWriteRetryExhausts(t *testing.T) {
 	derived := ckptTestRDD(c)
 	pol := &failureCountingPolicy{}
 	bundle := obs.New(obs.Options{Disabled: true, RingCapacity: 1})
-	tb := MustTestbed(TestbedOpts{Nodes: 4, Policy: pol, Obs: bundle})
+	tb := checked(MustTestbed(TestbedOpts{Nodes: 4, Policy: pol, Obs: bundle}))
 	tb.Engine.SetFaultInjector(&scriptedInjector{
 		ckpt: func(rddID, part, attempt int, now float64) bool { return true },
 	})
@@ -138,7 +138,7 @@ func TestFetchRetryChargesBackoffAndSucceeds(t *testing.T) {
 		c := rdd.NewContext(4)
 		target := pipeline(c, 2000, 4)
 		bundle := obs.New(obs.Options{Disabled: true, RingCapacity: 1})
-		tb := MustTestbed(TestbedOpts{Nodes: 5, Obs: bundle})
+		tb := checked(MustTestbed(TestbedOpts{Nodes: 5, Obs: bundle}))
 		tb.Engine.SetFaultInjector(inj)
 		res, err := tb.Engine.RunJob(target, ActionCollect)
 		if err != nil {
@@ -177,7 +177,7 @@ func TestFetchRetryExhaustionRecomputesParents(t *testing.T) {
 	want := asKVMap(t, rdd.CollectLocal(pipeline(cLocal, 2000, 4)))
 
 	bundle := obs.New(obs.Options{Disabled: true, RingCapacity: 1})
-	tb := MustTestbed(TestbedOpts{Nodes: 5, Obs: bundle})
+	tb := checked(MustTestbed(TestbedOpts{Nodes: 5, Obs: bundle}))
 	// Every remote fetch fails unconditionally while the window is open:
 	// retries exhaust, the poisoned sources are dropped, and the parent
 	// stage recomputes. Progress resumes once the window closes.
@@ -210,7 +210,7 @@ func TestStragglerSlowdownStretchesMakespan(t *testing.T) {
 		c := rdd.NewContext(4)
 		target := pipeline(c, 2000, 4)
 		bundle := obs.New(obs.Options{Disabled: true, RingCapacity: 1})
-		tb := MustTestbed(TestbedOpts{Nodes: 5, Obs: bundle})
+		tb := checked(MustTestbed(TestbedOpts{Nodes: 5, Obs: bundle}))
 		tb.Engine.SetFaultInjector(inj)
 		res, err := tb.Engine.RunJob(target, ActionMaterialize)
 		if err != nil {
@@ -234,7 +234,7 @@ func TestInertInjectorMatchesNilInjector(t *testing.T) {
 	run := func(inj FaultInjector) float64 {
 		c := rdd.NewContext(4)
 		target := pipeline(c, 2000, 4)
-		tb := MustTestbed(TestbedOpts{Nodes: 5})
+		tb := checked(MustTestbed(TestbedOpts{Nodes: 5}))
 		tb.Engine.SetFaultInjector(inj)
 		res, err := tb.Engine.RunJob(target, ActionMaterialize)
 		if err != nil {

@@ -165,7 +165,7 @@ func TestFuzzEngineMatchesOracle(t *testing.T) {
 		want := render(rdd.CollectLocal(target))
 
 		rng := rand.New(rand.NewSource(seed + 1))
-		tb := MustTestbed(TestbedOpts{Nodes: 3 + rng.Intn(4)})
+		tb := checked(MustTestbed(TestbedOpts{Nodes: 3 + rng.Intn(4)}))
 		// Up to three revocation events at random times early in the run.
 		for e := 0; e < rng.Intn(4); e++ {
 			at := 1 + rng.Float64()*120
@@ -214,7 +214,7 @@ func TestFuzzWorkerWidthInvariance(t *testing.T) {
 		// two runs share exactly one variable: the pool width.
 		target := randomDAG(seed)
 		rng := rand.New(rand.NewSource(seed + 1))
-		tb := MustTestbed(TestbedOpts{Nodes: 3 + rng.Intn(4), Workers: workers})
+		tb := checked(MustTestbed(TestbedOpts{Nodes: 3 + rng.Intn(4), Workers: workers}))
 		for e := 0; e < rng.Intn(4); e++ {
 			at := 1 + rng.Float64()*120
 			k := 1 + rng.Intn(2)
@@ -261,7 +261,7 @@ func TestFuzzRerunsAreIdenticalAfterChaos(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(trial)*104729 + 5
 		target := randomDAG(seed)
-		tb := MustTestbed(TestbedOpts{Nodes: 4})
+		tb := checked(MustTestbed(TestbedOpts{Nodes: 4}))
 		r1, err := tb.Engine.RunJob(target, ActionCollect)
 		if err != nil {
 			t.Fatalf("trial %d run 1: %v", trial, err)

@@ -25,27 +25,26 @@ type mapOutput struct {
 type shuffleState struct {
 	dep     *rdd.ShuffleDep
 	outputs []*mapOutput // indexed by map partition; nil if missing
+	// missing counts the nil outputs, maintained by putOutput, dropNode
+	// and dropDepNode so available() is O(1) on every lineage step.
+	missing int
+	// ver counts changes to outputs: a map stage's needed partitions
+	// (missingParts) are unchanged while ver is.
+	ver uint64
 }
 
 // available reports whether every map output is present.
-func (s *shuffleState) available() bool {
-	for _, o := range s.outputs {
-		if o == nil {
-			return false
-		}
-	}
-	return true
-}
+func (s *shuffleState) available() bool { return s.missing == 0 }
 
-// missingParts returns the map partitions whose outputs are absent.
-func (s *shuffleState) missingParts() []int {
-	var out []int
+// missingParts appends the map partitions whose outputs are absent to
+// dst and returns it.
+func (s *shuffleState) missingParts(dst []int) []int {
 	for i, o := range s.outputs {
 		if o == nil {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }
 
 // shuffleTracker is the engine-wide map-output registry (Spark's
@@ -58,6 +57,9 @@ type shuffleTracker struct {
 	// incrementally by putOutput/dropNode so nodeBytes — called for every
 	// node on every system-checkpoint tick — never rescans every output.
 	nodeTotals map[int]int64
+	// flips lists, in order, the deps whose available() changed since
+	// the engine last drained it (takeFlips).
+	flips []shuffleID
 }
 
 func newShuffleTracker() *shuffleTracker {
@@ -79,8 +81,35 @@ func (t *shuffleTracker) register(dep *rdd.ShuffleDep) shuffleID {
 	t.states = append(t.states, &shuffleState{
 		dep:     dep,
 		outputs: make([]*mapOutput, dep.P.NumParts),
+		missing: dep.P.NumParts,
 	})
 	return id
+}
+
+// setOutput replaces map output i of st with o (either may be nil),
+// keeping the missing count, the version and the flip log current.
+func (t *shuffleTracker) setOutput(st *shuffleState, i int, o *mapOutput) {
+	old := st.outputs[i]
+	st.outputs[i] = o
+	st.ver++
+	was := st.available()
+	if old == nil {
+		st.missing--
+	}
+	if o == nil {
+		st.missing++
+	}
+	if st.available() != was {
+		t.flips = append(t.flips, t.ids[st.dep])
+	}
+}
+
+// takeFlips returns the deps whose availability changed since the last
+// call, and resets the log.
+func (t *shuffleTracker) takeFlips() []shuffleID {
+	f := t.flips
+	t.flips = t.flips[:0]
+	return f
 }
 
 // state returns the tracker state for dep, registering it if needed.
@@ -117,7 +146,7 @@ func (t *shuffleTracker) putOutput(dep *rdd.ShuffleDep, mapPart, nodeID int, buc
 		sizes[i] = dep.P.SizeOfRows(b.Len())
 		total += sizes[i]
 	}
-	st.outputs[mapPart] = &mapOutput{nodeID: nodeID, buckets: buckets, sizes: sizes, total: total}
+	t.setOutput(st, mapPart, &mapOutput{nodeID: nodeID, buckets: buckets, sizes: sizes, total: total})
 	t.nodeTotals[nodeID] += total
 }
 
@@ -134,18 +163,28 @@ func (t *shuffleTracker) dropDepNode(dep *rdd.ShuffleDep, nodeID int) {
 	}
 	for i, o := range st.outputs {
 		if o != nil && o.nodeID == nodeID {
-			st.outputs[i] = nil
+			t.setOutput(st, i, nil)
 			t.nodeTotals[nodeID] -= o.total
 		}
 	}
 }
 
-// audit recomputes the per-node byte totals from the registered outputs
-// and compares them with the incrementally maintained cache, returning
-// the first divergence. Ground truth for the chaos invariant checkers.
+// audit recomputes the per-node byte totals and the per-dep missing
+// counts from the registered outputs and compares them with the
+// incrementally maintained ones, returning the first divergence. Ground
+// truth for the chaos invariant checkers.
 func (t *shuffleTracker) audit() error {
 	want := make(map[int]int64)
 	for _, st := range t.states {
+		missing := 0
+		for _, o := range st.outputs {
+			if o == nil {
+				missing++
+			}
+		}
+		if missing != st.missing {
+			return fmt.Errorf("dep %s: missing count %d != recounted %d", st.dep.P, st.missing, missing)
+		}
 		for i, o := range st.outputs {
 			if o == nil {
 				continue
@@ -180,7 +219,7 @@ func (t *shuffleTracker) dropNode(nodeID int) {
 	for _, st := range t.states {
 		for i, o := range st.outputs {
 			if o != nil && o.nodeID == nodeID {
-				st.outputs[i] = nil
+				t.setOutput(st, i, nil)
 			}
 		}
 	}

@@ -41,7 +41,7 @@ func TestShuffleTrackerAvailability(t *testing.T) {
 	if st.available() {
 		t.Fatal("fresh shuffle should not be available")
 	}
-	if got := st.missingParts(); len(got) != 3 {
+	if got := st.missingParts(nil); len(got) != 3 {
 		t.Fatalf("missing = %v", got)
 	}
 	tr.putOutput(dep, 0, 1, wrapBuckets([][]rdd.Row{{1}, {2}}))
@@ -49,7 +49,7 @@ func TestShuffleTrackerAvailability(t *testing.T) {
 	if st.available() {
 		t.Fatal("partially registered shuffle should not be available")
 	}
-	if got := st.missingParts(); len(got) != 1 || got[0] != 1 {
+	if got := st.missingParts(nil); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("missing = %v", got)
 	}
 	tr.putOutput(dep, 1, 1, wrapBuckets([][]rdd.Row{nil, {4}}))
@@ -181,7 +181,7 @@ func TestShuffleDropNode(t *testing.T) {
 	tr.putOutput(dep, 2, 1, wrapBuckets([][]rdd.Row{{"a2"}, nil}))
 	tr.dropNode(1)
 	st := tr.state(dep)
-	if got := st.missingParts(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+	if got := st.missingParts(nil); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("missing after drop = %v", got)
 	}
 	if tr.nodeBytes(1) != 0 {

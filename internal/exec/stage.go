@@ -81,6 +81,17 @@ type stage struct {
 	// thread so worker goroutines only ever read it; it sizes the
 	// per-task memo and effect slices.
 	hint int
+
+	// Control-plane memo (control.go): walks[p] is the memoized lineage
+	// walk of partition p (nil until the first replan); blocked is the
+	// recursion list, the sorted union of the blocked deps of the needed
+	// partitions, which stays right while the stage is clean.
+	walks     []partWalk
+	blocked   []*rdd.ShuffleDep
+	dirty     bool    // a walk, inFlight or delivered changed since the last replan
+	volatile  bool    // blocked rests on read-fault answers read at plannedAt
+	plannedAt float64 // virtual instant of the last replan
+	outVer    uint64  // map stage: the dep's output version at the last replan
 }
 
 func (s *stage) isResult() bool { return s.dep == nil }
@@ -120,59 +131,4 @@ func (j *job) mapStageFor(dep *rdd.ShuffleDep, e *Engine) *stage {
 	}
 	j.mapStages[dep] = s
 	return s
-}
-
-// missingShuffles walks the pipelined (narrow) lineage of partition
-// (r, p) exactly as the task resolver will, and records in acc every
-// ShuffleDep whose map outputs are required but incomplete. The walk
-// stops wherever data is already materialized — in a live node's cache or
-// in the checkpoint store — which is how checkpointing truncates
-// recomputation (paper Figure 1b).
-func (e *Engine) missingShuffles(r *rdd.RDD, p int, acc map[*rdd.ShuffleDep]bool, seen map[blockKey]bool) {
-	k := blockKey{rddID: r.ID, part: p}
-	if seen[k] {
-		return
-	}
-	seen[k] = true
-	if e.cachedAnywhere(k) {
-		return
-	}
-	if e.store.Has(checkpointKey(r, p)) {
-		return
-	}
-	if e.fnMode && e.store.Has(fnCacheKey(r, p)) {
-		return
-	}
-	if r.IsSource() {
-		return
-	}
-	for _, d := range r.Deps {
-		switch dep := d.(type) {
-		case *rdd.NarrowDep:
-			if pp := dep.ParentPart(p); pp >= 0 {
-				e.missingShuffles(dep.P, pp, acc, seen)
-			}
-		case *rdd.ShuffleDep:
-			if !e.shuffles.state(dep).available() {
-				acc[dep] = true
-			}
-		}
-	}
-}
-
-// stageNeededParts returns the partitions a stage must (re)compute right
-// now: for a map stage, the map partitions whose shuffle outputs are
-// missing; for a result stage, the partitions not yet delivered to the
-// driver.
-func (e *Engine) stageNeededParts(s *stage) []int {
-	var parts []int
-	if s.isResult() {
-		for p := 0; p < s.numTasks; p++ {
-			if !s.job.delivered[p] {
-				parts = append(parts, p)
-			}
-		}
-		return parts
-	}
-	return e.shuffles.state(s.dep).missingParts()
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 
 	"flint/internal/chaos"
@@ -177,11 +178,17 @@ func runChaosScenario(profile string, seed int64, s Scale, base ChaosbenchResult
 	// Cumulative-cost samples for the monotonicity invariant, spread past
 	// the horizon since faults stretch the makespan. Samples after the
 	// last job complete never fire; the prefix that did is checked.
+	// The same instants audit the engine mid-run, while jobs are active
+	// and the scheduler's location index and walk memo are populated.
 	var samples []float64
+	var midAudit error
 	for i := 1; i <= 16; i++ {
 		b.tb.Clock.Schedule(base.HorizonS*1.5*float64(i)/16, func() {
 			now := b.tb.Clock.Now()
 			samples = append(samples, b.tb.Cluster.Cost()+b.tb.Store.UsageAt(now).StorageCost)
+			if err := b.tb.Engine.Audit(); err != nil && midAudit == nil {
+				midAudit = fmt.Errorf("mid-run audit at t=%.3f: %w", now, err)
+			}
 		})
 	}
 
@@ -201,6 +208,10 @@ func runChaosScenario(profile string, seed int64, s Scale, base ChaosbenchResult
 		Engine:      b.tb.Engine,
 		CostSamples: samples,
 	})
+	if midAudit != nil {
+		viols = append(viols, chaos.Violation{Invariant: chaos.InvAccounting, Detail: midAudit.Error()})
+		sort.SliceStable(viols, func(i, j int) bool { return viols[i].Invariant < viols[j].Invariant })
+	}
 	if fnb != nil {
 		// Externalized-state consistency: the concurrent audit of the fn
 		// backend's shuffle segments and externalized cache must agree

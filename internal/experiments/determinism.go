@@ -42,6 +42,10 @@ type DetbenchScenario struct {
 	TraceFNV   uint64  // FNV-64a over every event field, in ring order
 	WallS      float64 // real seconds (excluded from CSV)
 	Allocs     uint64  // heap allocations during the run (excluded from CSV, like wall time)
+	// Probes counts the scheduler's lineage-walk steps
+	// (flint_exec_lineage_probes_total): control-plane work, excluded from
+	// the CSV like every flint_exec_ quantity.
+	Probes int64
 
 	// MetricsText is the scenario's Prometheus dump with flint_exec_
 	// lines removed — the diffable metric snapshot.
@@ -192,6 +196,7 @@ func runDetScenario(sc detScenario) (detOutcome, error) {
 	out.TraceFNV = fnvEvents(events)
 	out.WallS = wall
 	out.Allocs = msAfter.Mallocs - msBefore.Mallocs
+	out.Probes = bundle.ExecLineageProbes.Value()
 	text, err := filteredPrometheus(bundle)
 	if err != nil {
 		return detOutcome{}, err

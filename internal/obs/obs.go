@@ -132,6 +132,11 @@ type Obs struct {
 	// snapshots filter the flint_exec_ prefix.
 	ExecRoundWall *Histogram
 	WorkerBusy    *Histogram
+
+	// ExecLineageProbes counts the scheduler's lineage-walk steps: the
+	// control plane's work, which depends on how the scheduler is
+	// implemented rather than on what it decides.
+	ExecLineageProbes *Counter
 }
 
 // New builds an Obs with the standard instrument set registered.
@@ -206,6 +211,8 @@ func New(o Options) *Obs {
 
 		ExecRoundWall: r.Histogram("flint_exec_wall_seconds", "Real seconds per dispatch round's task batch (wall clock, nondeterministic).", DurationBuckets()),
 		WorkerBusy:    r.Histogram("flint_exec_worker_busy_seconds", "Real seconds one task's computation occupied a worker (wall clock, nondeterministic).", DurationBuckets()),
+
+		ExecLineageProbes: r.Counter("flint_exec_lineage_probes_total", "Lineage-walk steps the scheduler's control plane took to find runnable partitions."),
 	}
 }
 
