@@ -1,5 +1,5 @@
 // Command benchdiff gates a freshly produced BENCH_<rev>.json against a
-// committed anchor record (BENCH_a7c1211.json). It fails — exit 1 — when
+// committed anchor record (BENCH_93ae4fd.json). It fails — exit 1 — when
 // any anchored scenario drifted: a missing scenario, a virtual-makespan
 // change, or an outcome/trace FNV change. Wall seconds are reported as a
 // ratio table (markdown, suitable for $GITHUB_STEP_SUMMARY) but never
@@ -14,18 +14,20 @@
 // source, the gate catches whatever slips through at run time. Records
 // from before alloc accounting landed stay informational.
 //
-// Fresh scenarios the anchor lacks cannot be gated; they are listed as
-// UNANCHORED rows so the report shows what the anchor does not cover.
+// Fresh scenarios the anchor lacks have nothing to compare against; they
+// are listed as UNANCHORED rows and fail the run (exit 1), so a new
+// scenario cannot ship without the anchor being re-recorded to cover it.
 //
 // Usage:
 //
-//	benchdiff -anchor BENCH_a7c1211.json -new BENCH_<rev>.json [-summary out.md]
+//	benchdiff -anchor BENCH_93ae4fd.json -new BENCH_<rev>.json [-summary out.md]
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 )
@@ -68,7 +70,7 @@ func readRecord(path string) (benchRecord, error) {
 // fractional allocation growth permitted before a scenario's allocs
 // count gates (0.10 = +10%); it applies when both records carry alloc
 // counts. Fresh scenarios the anchor lacks are reported as UNANCHORED
-// rows, never as drift.
+// rows, not as drift; unanchored lists them for the exit status.
 func diffRecords(anchor, fresh benchRecord, allocsTolerance float64) (drift []string, report string) {
 	freshBy := make(map[string]benchEntry, len(fresh.Scenarios))
 	for _, sc := range fresh.Scenarios {
@@ -124,22 +126,31 @@ func diffRecords(anchor, fresh benchRecord, allocsTolerance float64) (drift []st
 			status(a.TraceFNV, f.TraceFNV, "trace FNV"),
 			a.WallS, f.WallS, ratio, allocs)
 	}
-	anchored := make(map[string]bool, len(anchor.Scenarios))
-	for _, a := range anchor.Scenarios {
-		anchored[a.Name] = true
-	}
-	for _, f := range fresh.Scenarios {
-		if !anchored[f.Name] {
-			fmt.Fprintf(&b, "| %s | UNANCHORED %v | %s | %s | — | %.3f | — | — |\n",
-				f.Name, f.VirtualS, orDash(f.OutcomeFNV), orDash(f.TraceFNV), f.WallS)
-		}
+	for _, f := range unanchored(anchor, fresh) {
+		fmt.Fprintf(&b, "| %s | UNANCHORED %v | %s | %s | — | %.3f | — | — |\n",
+			f.Name, f.VirtualS, orDash(f.OutcomeFNV), orDash(f.TraceFNV), f.WallS)
 	}
 	if len(drift) == 0 {
-		b.WriteString("\nNo drift: every anchored scenario is byte-identical (wall ratio >1 means faster than the anchor machine run; allocs ratio >1 means fewer heap allocations; allocation growth gates when both records carry counts; UNANCHORED scenarios are not gated).\n")
+		b.WriteString("\nNo drift: every anchored scenario is byte-identical (wall ratio >1 means faster than the anchor machine run; allocs ratio >1 means fewer heap allocations; allocation growth gates when both records carry counts; an UNANCHORED scenario fails the run until the anchor is re-recorded).\n")
 	} else {
 		fmt.Fprintf(&b, "\n**%d drift finding(s)** — the data plane changed observable output.\n", len(drift))
 	}
 	return drift, b.String()
+}
+
+// unanchored returns the fresh scenarios the anchor has no row for.
+func unanchored(anchor, fresh benchRecord) []benchEntry {
+	anchored := make(map[string]bool, len(anchor.Scenarios))
+	for _, a := range anchor.Scenarios {
+		anchored[a.Name] = true
+	}
+	var out []benchEntry
+	for _, f := range fresh.Scenarios {
+		if !anchored[f.Name] {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 func orDash(s string) string {
@@ -150,48 +161,59 @@ func orDash(s string) string {
 }
 
 func main() {
-	anchorPath := flag.String("anchor", "", "committed anchor record (e.g. BENCH_a7c1211.json)")
+	anchorPath := flag.String("anchor", "", "committed anchor record (e.g. BENCH_93ae4fd.json)")
 	freshPath := flag.String("new", "", "freshly produced record to gate")
 	summary := flag.String("summary", "", "also append the markdown report to this file (e.g. $GITHUB_STEP_SUMMARY)")
 	allocsTolerance := flag.Float64("allocs-tolerance", 0.10, "fractional allocation growth allowed before a scenario's allocs count gates (0.10 = +10%)")
 	flag.Parse()
 	if *anchorPath == "" || *freshPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff -anchor BENCH_a7c1211.json -new BENCH_<rev>.json [-summary out.md]")
-		os.Exit(2)
-	}
-	anchor, err := readRecord(*anchorPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
-	}
-	fresh, err := readRecord(*freshPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
+		fmt.Fprintln(os.Stderr, "usage: benchdiff -anchor BENCH_93ae4fd.json -new BENCH_<rev>.json [-summary out.md]")
 		os.Exit(2)
 	}
 	if *allocsTolerance < 0 {
 		fmt.Fprintln(os.Stderr, "benchdiff: -allocs-tolerance must be >= 0")
 		os.Exit(2)
 	}
-	drift, report := diffRecords(anchor, fresh, *allocsTolerance)
-	fmt.Print(report)
-	if *summary != "" {
-		f, err := os.OpenFile(*summary, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	os.Exit(run(*anchorPath, *freshPath, *summary, *allocsTolerance, os.Stdout, os.Stderr))
+}
+
+// run diffs the fresh record at freshPath against the anchor and returns
+// the exit status: 0 clean, 1 drift or an unanchored scenario, 2 an I/O
+// error.
+func run(anchorPath, freshPath, summary string, allocsTolerance float64, stdout, stderr io.Writer) int {
+	anchor, err := readRecord(anchorPath)
+	if err != nil {
+		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
+		return 2
+	}
+	fresh, err := readRecord(freshPath)
+	if err != nil {
+		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
+		return 2
+	}
+	drift, report := diffRecords(anchor, fresh, allocsTolerance)
+	fmt.Fprint(stdout, report)
+	if summary != "" {
+		f, err := os.OpenFile(summary, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: summary: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchdiff: summary: %v\n", err)
+			return 2
 		}
 		if _, err := f.WriteString(report); err != nil {
 			f.Close()
-			fmt.Fprintf(os.Stderr, "benchdiff: summary: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchdiff: summary: %v\n", err)
+			return 2
 		}
 		f.Close()
 	}
-	if len(drift) > 0 {
-		for _, d := range drift {
-			fmt.Fprintf(os.Stderr, "benchdiff: DRIFT: %s\n", d)
-		}
-		os.Exit(1)
+	status := 0
+	for _, d := range drift {
+		fmt.Fprintf(stderr, "benchdiff: DRIFT: %s\n", d)
+		status = 1
 	}
+	for _, f := range unanchored(anchor, fresh) {
+		fmt.Fprintf(stderr, "benchdiff: UNANCHORED: %s: the anchor has no row for it; re-record the anchor\n", f.Name)
+		status = 1
+	}
+	return status
 }

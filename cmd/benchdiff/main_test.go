@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -146,5 +149,48 @@ func TestDiffRecordsUnanchoredScenarioReported(t *testing.T) {
 	}
 	if strings.Count(report, "UNANCHORED") != 2 { // the row plus the summary legend
 		t.Fatalf("only the fresh-only scenario should be UNANCHORED:\n%s", report)
+	}
+}
+
+func writeRecord(t *testing.T, rec benchRecord) string {
+	t.Helper()
+	data, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_"+rec.Rev+".json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRunFailsOnUnanchoredScenario: the report lists an unanchored
+// scenario without calling it drift, but the run still exits 1 — an
+// anchor that does not cover every scenario is a disarmed gate.
+func TestRunFailsOnUnanchoredScenario(t *testing.T) {
+	anchor := writeRecord(t, anchorRec())
+	same := anchorRec()
+	same.Rev = "deadbee"
+	var out, errOut strings.Builder
+	if code := run(anchor, writeRecord(t, same), "", 0.10, &out, &errOut); code != 0 {
+		t.Fatalf("fully anchored record: exit %d, stderr:\n%s", code, errOut.String())
+	}
+	extra := anchorRec()
+	extra.Rev = "cafef00"
+	extra.Scenarios = append(extra.Scenarios, benchEntry{Name: "detbench/tpch-q6", VirtualS: 42.5})
+	out.Reset()
+	errOut.Reset()
+	if code := run(anchor, writeRecord(t, extra), "", 0.10, &out, &errOut); code != 1 {
+		t.Fatalf("unanchored scenario: exit %d, want 1", code)
+	}
+	if !strings.Contains(errOut.String(), "UNANCHORED: detbench/tpch-q6") {
+		t.Errorf("stderr does not name the unanchored scenario:\n%s", errOut.String())
+	}
+	if !strings.Contains(out.String(), "| detbench/tpch-q6 | UNANCHORED 42.5 |") {
+		t.Errorf("report lacks the UNANCHORED row:\n%s", out.String())
+	}
+	if code := run(anchor, filepath.Join(t.TempDir(), "missing.json"), "", 0.10, &out, &errOut); code != 2 {
+		t.Errorf("unreadable fresh record: exit %d, want 2", code)
 	}
 }

@@ -28,6 +28,10 @@ import (
 // so they appear only on stdout (never in the CSV) and the Prometheus
 // dump drops every flint_exec_ metric (the wall-time histograms and the
 // worker-count gauge).
+//
+// The trace FNV is only a fingerprint of the run if the ring kept every
+// event, so a scenario whose ring overflowed fails instead of hashing a
+// truncated stream.
 
 // DetbenchScenario is one scenario's diffable outcome plus its
 // (non-diffable) wall time.
@@ -183,8 +187,11 @@ func runDetScenario(sc detScenario) (detOutcome, error) {
 	}
 	wall := sw()
 	runtime.ReadMemStats(&msAfter)
+	events, err := fullTrace(bundle.Tracer)
+	if err != nil {
+		return detOutcome{}, err
+	}
 	snap := b.tb.Engine.Snapshot()
-	events := bundle.Tracer.Events()
 	out := detOutcome{workers: b.tb.Engine.Workers()}
 	out.Name = sc.name
 	out.VirtualS = virtualS
@@ -205,8 +212,20 @@ func runDetScenario(sc detScenario) (detOutcome, error) {
 	return out, nil
 }
 
+// fullTrace returns every event the run emitted, or an error if the ring
+// overflowed: trace_fnv must fingerprint the whole stream, never the
+// tail that survived.
+func fullTrace(tr *obs.Tracer) ([]obs.Event, error) {
+	if d := tr.Dropped(); d > 0 {
+		return nil, fmt.Errorf("trace ring of %d events overflowed (%d dropped): trace_fnv would hash a truncated stream", tr.Cap(), d)
+	}
+	return tr.Events(), nil
+}
+
 // filteredPrometheus renders the bundle's registry, dropping every line
-// that mentions a flint_exec_ metric (wall-clock, nondeterministic).
+// that mentions a flint_exec_ metric (wall-clock, nondeterministic) and
+// the dropped-trace-events gauge, which a scenario that got this far
+// always reads as 0.
 func filteredPrometheus(bundle *obs.Obs) (string, error) {
 	var raw strings.Builder
 	if err := bundle.Reg.WritePrometheus(&raw); err != nil {
@@ -214,7 +233,7 @@ func filteredPrometheus(bundle *obs.Obs) (string, error) {
 	}
 	var out strings.Builder
 	for _, line := range strings.Split(raw.String(), "\n") {
-		if strings.Contains(line, "flint_exec_") {
+		if strings.Contains(line, "flint_exec_") || strings.Contains(line, "flint_trace_dropped_events") {
 			continue
 		}
 		out.WriteString(line)

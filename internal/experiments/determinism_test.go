@@ -1,6 +1,11 @@
 package experiments
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"flint/internal/obs"
+)
 
 // fullWalkProbes is the lineage-walk step count of detbench
 // pagerank-revoke when every pump re-walked the narrow lineage of every
@@ -32,4 +37,30 @@ func TestPageRankRevokeSchedulerWork(t *testing.T) {
 		return
 	}
 	t.Fatal("detbench has no pagerank-revoke scenario")
+}
+
+// TestDetbenchRejectsTruncatedTrace: a ring too small for the events
+// emitted must fail detbench rather than let it fingerprint the surviving
+// tail, and the error must say how many events were lost.
+func TestDetbenchRejectsTruncatedTrace(t *testing.T) {
+	tr := obs.NewTracer(4)
+	for i := 0; i < 4; i++ {
+		tr.Emit(obs.Event{Type: obs.EvTaskDone, Task: i})
+	}
+	if events, err := fullTrace(tr); err != nil || len(events) != 4 {
+		t.Fatalf("full ring: %d events, err %v", len(events), err)
+	}
+	tr.Emit(obs.Event{Type: obs.EvTaskDone, Task: 4})
+	if _, err := fullTrace(tr); err == nil || !strings.Contains(err.Error(), "(1 dropped)") {
+		t.Fatalf("overflowed ring: err = %v, want an overflow error counting 1 dropped event", err)
+	}
+	for _, sc := range detScenarios(1)[:1] {
+		out, err := runDetScenario(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(out.MetricsText, "flint_trace_dropped_events") {
+			t.Error("the diffable metric dump should leave out the dropped-events gauge")
+		}
+	}
 }

@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"flint/internal/obs"
 	"flint/internal/simclock"
@@ -66,6 +67,12 @@ type Pool struct {
 
 	// Preempt backs KindPreemptible pools.
 	Preempt *trace.Preemptible
+
+	// bidIdx memoizes Trace's prefix-count index per bid for HistoryMTTF.
+	// Each index is built on first use, so constructing an exchange stays
+	// O(pools).
+	mu     sync.Mutex
+	bidIdx map[float64]*trace.BidIndex
 }
 
 // traceTime maps simulation time to trace time.
@@ -88,7 +95,8 @@ func (p *Pool) PriceAt(t float64) float64 {
 // Flint's node manager maintains ("the historical average spot price and
 // revocation rate (and MTTF) over a recent time window, e.g., the past
 // week", §4). For on-demand pools it returns an infinite MTTF at the
-// fixed price; for preemptible pools, the model's mean lifetime.
+// fixed price; for preemptible pools, the model's mean lifetime. The
+// MTTF is HistoryMTTF's; the other fields come from replaying the window.
 func (p *Pool) HistoryStats(bid, t, window float64) trace.BidStats {
 	switch p.Kind {
 	case KindOnDemand:
@@ -96,27 +104,70 @@ func (p *Pool) HistoryStats(bid, t, window float64) trace.BidStats {
 	case KindPreemptible:
 		return trace.BidStats{Bid: bid, MTTF: p.Preempt.MeanLife, AvgPrice: p.Preempt.Price, UpFraction: 1}
 	}
-	tt := p.traceTime(t)
-	lo := tt - window
+	lo, tt := p.historySpan(t, window)
+	st := p.Trace.Slice(lo, tt).AnalyzeBid(bid)
+	st.MTTF = p.HistoryMTTF(bid, t, window)
+	return st
+}
+
+// HistoryMTTF returns the pool's MTTF at the given bid, estimated from
+// the window seconds of history ending at simulation time t. When the
+// window saw no revocation but the bid did clear, the windowed estimate
+// is censored: it falls back to all available history (the paper notes
+// Amazon provides three months of price history for exactly this
+// purpose), and if even the full history is failure-free, to the
+// observed span as a conservative finite estimate. On-demand pools never
+// fail (+Inf); preemptible pools report the model's mean lifetime.
+//
+// Both estimates come from the pool's per-bid prefix-count index
+// (trace.BidIndex), so a call costs O(1) after the first at each bid and
+// performs no allocation. It is safe for concurrent callers.
+func (p *Pool) HistoryMTTF(bid, t, window float64) float64 {
+	switch p.Kind {
+	case KindOnDemand:
+		return math.Inf(1)
+	case KindPreemptible:
+		return p.Preempt.MeanLife
+	}
+	lo, tt := p.historySpan(t, window)
+	ix := p.bidIndex(bid)
+	st := ix.Analyze(lo, tt)
+	if st.Revocations == 0 && st.UpFraction > 0 {
+		if full := ix.Analyze(0, tt); full.Revocations > 0 {
+			return full.MTTF
+		}
+		if tt > 0 {
+			return tt
+		}
+	}
+	return st.MTTF
+}
+
+// bidIndex returns the trace's prefix-count index at bid, building it on
+// first use.
+func (p *Pool) bidIndex(bid float64) *trace.BidIndex {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ix := p.bidIdx[bid]
+	if ix == nil {
+		if p.bidIdx == nil {
+			p.bidIdx = make(map[float64]*trace.BidIndex)
+		}
+		ix = p.Trace.BidIndex(bid)
+		p.bidIdx[bid] = ix
+	}
+	return ix
+}
+
+// historySpan maps "the window seconds ending at simulation time t" to
+// the trace-time interval [lo, tt) the history estimators read.
+func (p *Pool) historySpan(t, window float64) (lo, tt float64) {
+	tt = p.traceTime(t)
+	lo = tt - window
 	if lo < 0 {
 		lo = 0
 	}
-	st := p.Trace.Slice(lo, tt).AnalyzeBid(bid)
-	if st.Revocations == 0 && st.UpFraction > 0 {
-		// Calm market: the short window saw no revocations, so the MTTF
-		// estimate is censored. Fall back to all available history for
-		// the MTTF (the paper notes Amazon provides three months of
-		// price history for exactly this purpose); if even the full
-		// history is failure-free, use the observed uptime as a
-		// conservative finite estimate.
-		full := p.Trace.Slice(0, tt).AnalyzeBid(bid)
-		if full.Revocations > 0 {
-			st.MTTF = full.MTTF
-		} else if tt > 0 {
-			st.MTTF = tt
-		}
-	}
-	return st
+	return lo, tt
 }
 
 // HistoryPrices returns the price series over the window seconds ending
@@ -125,12 +176,7 @@ func (p *Pool) HistoryPrices(t, window float64) []float64 {
 	if p.Kind != KindSpot {
 		return nil
 	}
-	tt := p.traceTime(t)
-	lo := tt - window
-	if lo < 0 {
-		lo = 0
-	}
-	return p.Trace.Slice(lo, tt).Prices
+	return p.Trace.Slice(p.historySpan(t, window)).Prices
 }
 
 // Lease is one held server.

@@ -132,6 +132,22 @@ flint_demo_total 3
 	}
 }
 
+// The bundle exports the tracer's ring overflow as a gauge, so a
+// truncated Chrome trace is visible in /metrics, not only on stderr.
+func TestObsExportsDroppedTraceEvents(t *testing.T) {
+	o := New(Options{RingCapacity: 4})
+	for i := 0; i < 10; i++ {
+		o.Emit(Event{Type: EvTaskDone})
+	}
+	var b strings.Builder
+	if err := o.Reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "flint_trace_dropped_events 6\n") {
+		t.Errorf("prometheus output lacks 6 dropped events:\n%s", b.String())
+	}
+}
+
 func TestObsBundleAndDefault(t *testing.T) {
 	o := New(Options{RingCapacity: 8})
 	o.TasksLaunched.Inc()

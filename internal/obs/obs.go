@@ -146,6 +146,8 @@ func New(o Options) *Obs {
 		t.SetEnabled(false)
 	}
 	r := NewRegistry()
+	r.GaugeFunc("flint_trace_dropped_events", "Trace events overwritten by ring wraparound (lost from the Chrome trace).", nil,
+		func() float64 { return float64(t.Dropped()) })
 	return &Obs{
 		Tracer: t,
 		Reg:    r,

@@ -119,8 +119,9 @@ func (t *Tracer) Events() []Event {
 	defer t.mu.Unlock()
 	n := t.lenLocked()
 	out := make([]Event, 0, n)
-	if t.total > uint64(len(t.buf)) {
-		// Ring wrapped: oldest entry sits at the write cursor.
+	if t.total >= uint64(len(t.buf)) {
+		// Ring full (wrapped or exactly filled, which leaves the cursor
+		// back at 0): the oldest entry sits at the write cursor.
 		out = append(out, t.buf[t.next:]...)
 		out = append(out, t.buf[:t.next]...)
 		return out

@@ -45,6 +45,24 @@ func TestRingBufferBounds(t *testing.T) {
 	}
 }
 
+// A ring filled to exactly its capacity has dropped nothing and must
+// return every event, even though its write cursor is back at 0.
+func TestRingExactlyFull(t *testing.T) {
+	tr := NewTracer(4)
+	for i := 0; i < 4; i++ {
+		tr.Emit(Event{Type: EvTaskDone, Task: i})
+	}
+	evs := tr.Events()
+	if tr.Dropped() != 0 || len(evs) != 4 {
+		t.Fatalf("exactly full ring: dropped %d, %d events, want 0 and 4", tr.Dropped(), len(evs))
+	}
+	for i, ev := range evs {
+		if ev.Task != i {
+			t.Errorf("event %d task = %d", i, ev.Task)
+		}
+	}
+}
+
 func TestTracerReset(t *testing.T) {
 	tr := NewTracer(2)
 	tr.Emit(Event{Type: EvJobSubmit})

@@ -48,8 +48,7 @@ func clusterMTTF(exch *market.Exchange, comp *composition, now float64, p Params
 		if pool == nil {
 			continue
 		}
-		st := pool.HistoryStats(p.BidMultiple*pool.OnDemand, now, p.Window)
-		mttfs = append(mttfs, st.MTTF)
+		mttfs = append(mttfs, pool.HistoryMTTF(p.BidMultiple*pool.OnDemand, now, p.Window))
 	}
 	return stats.RateSum(mttfs)
 }

@@ -6,20 +6,25 @@ package trace
 // Slicing shares the underlying price storage.
 func (tr *Trace) Slice(t0, t1 float64) *Trace {
 	out := &Trace{Step: tr.Step}
-	if len(tr.Prices) == 0 || t1 <= t0 {
-		return out
+	if lo, hi := sliceBounds(tr.Step, len(tr.Prices), t0, t1); lo < hi {
+		out.Prices = tr.Prices[lo:hi]
 	}
-	lo := int(t0 / tr.Step)
-	hi := int(t1 / tr.Step)
+	return out
+}
+
+// sliceBounds maps [t0, t1) to the sample range [lo, hi) that Slice keeps
+// of an n-sample trace; lo >= hi means the slice is empty.
+func sliceBounds(step float64, n int, t0, t1 float64) (lo, hi int) {
+	if n == 0 || t1 <= t0 {
+		return 0, 0
+	}
+	lo = int(t0 / step)
+	hi = int(t1 / step)
 	if lo < 0 {
 		lo = 0
 	}
-	if hi > len(tr.Prices) {
-		hi = len(tr.Prices)
+	if hi > n {
+		hi = n
 	}
-	if lo >= hi {
-		return out
-	}
-	out.Prices = tr.Prices[lo:hi]
-	return out
+	return lo, hi
 }

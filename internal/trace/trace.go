@@ -173,44 +173,70 @@ type BidStats struct {
 // AnalyzeBid replays the trace as an acquire/hold/revoke cycle at the
 // given bid and returns the resulting statistics. This mirrors how the
 // paper estimates MTTF-versus-bid from historical spot prices (§3.1.1).
+//
+// The replay walks sample indices: a holder acquires at the first sample
+// priced at or below the bid and is revoked at the first later sample
+// priced above it. Up time is therefore the number of clearing samples
+// times Step, and the revocations are the clearing→non-clearing
+// transitions, so the MTTF depends only on two counts — the property
+// BidIndex relies on to answer it for any slice in O(1).
 func (tr *Trace) AnalyzeBid(bid float64) BidStats {
 	st := BidStats{Bid: bid, MTTF: math.Inf(1)}
-	if len(tr.Prices) == 0 {
-		return st
-	}
-	var upTime, paid float64
-	t := 0.0
-	end := tr.Duration()
-	for t < end {
-		start, ok := tr.NextAcquisition(t, bid)
-		if !ok {
+	n := len(tr.Prices)
+	up, revs := 0, 0
+	paid := 0.0
+	for i := 0; i < n; {
+		for i < n && !clears(tr.Prices[i], bid) {
+			i++
+		}
+		if i == n {
 			break
 		}
-		rev, revoked := tr.NextRevocation(start, bid)
-		stop := end
-		if revoked {
-			stop = rev
+		j := i + 1
+		for j < n && clears(tr.Prices[j], bid) {
+			j++
 		}
-		upTime += stop - start
-		paid += tr.Integrate(start, stop)
-		if revoked {
-			st.Revocations++
-			st.Lifetimes = append(st.Lifetimes, stop-start)
-			t = stop
-		} else {
-			break
+		cost := 0.0
+		for k := i; k < j; k++ {
+			cost += tr.Prices[k] * tr.Step / simclock.Hour
 		}
+		paid += cost
+		up += j - i
+		if j < n {
+			revs++
+			st.Lifetimes = append(st.Lifetimes, float64(j-i)*tr.Step)
+		}
+		i = j
 	}
-	if upTime > 0 {
-		st.AvgPrice = paid / (upTime / simclock.Hour)
-		st.UpFraction = upTime / end
-	}
-	if st.Revocations > 0 {
-		st.MTTF = upTime / float64(st.Revocations)
-	} else if upTime == 0 {
-		st.MTTF = 0 // bid never clears: the market is unusable
+	st.setCounts(tr.Step, n, up, revs)
+	if up > 0 {
+		st.AvgPrice = paid / (float64(up) * tr.Step / simclock.Hour)
 	}
 	return st
+}
+
+// clears reports whether a holder bidding bid keeps (or can acquire) a
+// server while the price is p.
+func clears(p, bid float64) bool { return p <= bid }
+
+// setCounts fills the count-derived statistics of an n-sample replay that
+// held up clearing samples and saw revs revocations. AnalyzeBid and
+// BidIndex both go through it, so their MTTF, Revocations and
+// UpFraction agree bit for bit.
+func (st *BidStats) setCounts(step float64, n, up, revs int) {
+	st.Revocations = revs
+	if n == 0 {
+		return // empty trace: nothing observed, MTTF stays +Inf
+	}
+	upTime := float64(up) * step
+	if up > 0 {
+		st.UpFraction = upTime / (float64(n) * step)
+	}
+	if revs > 0 {
+		st.MTTF = upTime / float64(revs)
+	} else if up == 0 {
+		st.MTTF = 0 // bid never clears: the market is unusable
+	}
 }
 
 // Profile describes the statistical shape of one synthetic spot market.
